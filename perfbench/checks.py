@@ -58,8 +58,14 @@ def check_predictions(out_dir, n_cells: int, n_targets: int) -> list[str]:
 
 
 def check_assignment(out_dir, data_dir) -> list[str]:
-    """assignment.txt is a partial bijection inside batches that pairs, in
-    each batch, as many cells as the smaller side of that batch's block."""
+    """assignment.txt is a partial bijection inside batches, with between
+    one and min(block sides) pairs in each shared batch, and report.kv's
+    top-1 count and accuracy agree with it.
+
+    The filter may leave a block without a perfect matching; the solver
+    then returns a partial maximum-cardinality one, so a batch can hold
+    fewer than min(block sides) pairs.
+    """
     batch_1 = _read_lines(os.path.join(data_dir, "batches.txt"))
     truth = [int(v) for v in
              _read_lines(os.path.join(data_dir, "correspondence.txt"))]
@@ -86,10 +92,19 @@ def check_assignment(out_dir, data_dir) -> list[str]:
     matched = Counter(batch_1[i] for i, _ in pairs)
     sides_1, sides_2 = Counter(batch_1), Counter(batch_2)
     for batch in sorted(set(sides_1) & set(sides_2)):
-        want = min(sides_1[batch], sides_2[batch])
-        if matched[batch] != want:
+        most = min(sides_1[batch], sides_2[batch])
+        if not 1 <= matched[batch] <= most:
             problems.append(f"assignment.txt: batch {batch} has "
-                            f"{matched[batch]} pairs, expected {want}")
+                            f"{matched[batch]} pairs, expected 1 to {most}")
+    report = read_kv(os.path.join(out_dir, "report.kv"))
+    correct = sum(1 for i, j in pairs if truth[i] == j)
+    if float(report["score_assignment"]) != correct:
+        problems.append(f"report.kv: score_assignment "
+                        f"{report['score_assignment']}, but "
+                        f"assignment.txt has {correct} true pairs")
+    if abs(float(report["top1_accuracy"]) - correct / n) > 5e-7 + 1e-12:
+        problems.append(f"report.kv: top1_accuracy "
+                        f"{report['top1_accuracy']} != {correct} / {n}")
     return problems
 
 

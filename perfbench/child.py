@@ -3,8 +3,6 @@
     python3 child.py gen SPEC.json WORK_DIR    write one workload's inputs
     python3 child.py cli MARKS.json -- ARGS    run `cellgraph ARGS`, noting
                                                when each phase starts/ends
-    python3 child.py setup MARKS.json -- ARGS  the same, but exit as the
-                                               first training epoch starts
     python3 child.py trace TRACE.json -- ARGS  run `cellgraph ARGS` under the
                                                span tracer
 
@@ -77,24 +75,16 @@ PHASES = {
 }
 
 
-def run_cli(marks_path: str, argv: list[str], setup_only=False) -> int:
+def run_cli(marks_path: str, argv: list[str]) -> int:
     """Run the CLI with timestamps around its phases and nothing else."""
     cellgraph = _import_cellgraph()
     marks: dict[str, list[float]] = {}
     absent: list[str] = []
 
-    def write_marks():
-        with open(marks_path, "w", encoding="utf-8") as fh:
-            json.dump({"marks": marks, "absent": absent}, fh)
-
     def timed(phase):
         def make(fn):
             def stamped(*args, **kwargs):
                 start = time.monotonic()
-                if setup_only and phase == "train":
-                    marks["train"] = [[start, start]]
-                    write_marks()
-                    os._exit(0)
                 try:
                     return fn(*args, **kwargs)
                 finally:
@@ -108,7 +98,8 @@ def run_cli(marks_path: str, argv: list[str], setup_only=False) -> int:
             if not tr.patch(module, path, timed(phase)):
                 absent.append(f"{module}.{path}")
     rc = cellgraph.cli.cli_dispatch(argv)
-    write_marks()
+    with open(marks_path, "w", encoding="utf-8") as fh:
+        json.dump({"marks": marks, "absent": absent}, fh)
     return rc
 
 
@@ -131,7 +122,7 @@ def main(argv: list[str]) -> int:
         rest = rest[1:]
     if mode == "trace":
         return run_traced(path, rest)
-    return run_cli(path, rest, setup_only=mode == "setup")
+    return run_cli(path, rest)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,8 @@ checkout's ``src`` and from nowhere else. A run
 2. runs the CLI as users do, one fresh child process per run, with BLAS and
    OpenMP pinned to one thread. With ``--trace 0`` it repeats the CLI for
    ``--seconds`` (always at least twice, so the set can be compared byte for
-   byte), spends time too short for another full run on runs that stop when
-   training starts (more samples of the set-up time), and reports medians of
-   the end-to-end metrics. With ``--trace 1`` it makes one plain and one
-   traced run and reports the per-layer metrics;
+   byte) and reports medians of the end-to-end metrics. With ``--trace 1``
+   it makes one plain and one traced run and reports the per-layer metrics;
 3. checks every run's outputs and counts the runs that fail.
 
 The last line of standard output is one JSON object with the keys
@@ -54,16 +52,17 @@ MIN_RUNS = 2
 # (name, unit); all lower-is-better. quality_loss is val_rmse for predict,
 # 1 - top1_accuracy for match and 1 - overall for embed. infer_s and eval_s
 # are printed but not reported: eval_s exists on embed-eval only, and the
-# assignment solver makes match-assign's infer_s depend on the inputs more
-# than any bound allows (see workloads.py); the traced run reports both
-# phases as tasks.infer.s and cli.metric_suite.s.
+# assignment solver's work depends on the learned embeddings, which makes
+# match-assign's infer_s spread across seeds by more than any bound allows;
+# the traced run reports both phases as tasks.infer.s and
+# cli.metric_suite.s.
 END_TO_END = [("setup_s", "s"), ("train_s", "s"), ("total_s", "s"),
               ("peak_rss_mb", "MB"), ("quality_loss", "1")]
 
 
 @dataclass
 class Invocation:
-    mode: str  # child.py mode: "cli", "setup" or "trace"
+    mode: str  # child.py mode: "cli" or "trace"
     out_dir: str
     returncode: int
     total_s: float
@@ -152,8 +151,8 @@ def quality_loss(wl: Workload, out_dir: str) -> float:
 
 def run_cli(wl: Workload, seed: int, work: str, env, index: int,
             mode: str = "cli") -> Invocation:
-    """One CLI process. The child notes phase boundaries ("cli"), stops
-    when training starts ("setup") or records spans ("trace")."""
+    """One CLI process. The child notes phase boundaries ("cli") or
+    records spans ("trace")."""
     tag = f"{mode}{index}"
     out_dir = os.path.join(work, tag)
     record = os.path.join(work, f"{tag}.json")
@@ -174,13 +173,7 @@ def run_cli(wl: Workload, seed: int, work: str, env, index: int,
         inv.trace = data
         return inv
     marks = data["marks"]
-    if "train" not in marks:
-        inv.problems.append(f"phase marks missing: {data['absent']}")
-        return inv
-    if mode == "setup":
-        inv.values = {"setup_s": marks["train"][0][0] - start}
-        return inv
-    if data["absent"] or "infer" not in marks:
+    if data["absent"] or "train" not in marks or "infer" not in marks:
         inv.problems.append(f"phase marks missing: {data['absent']}")
         return inv
 
@@ -203,7 +196,7 @@ def check_outputs(wl: Workload, inv: Invocation, data_dir: str,
                   reference_dir: str | None) -> list[str]:
     """Every problem with one run's outputs (its exit code is checked when
     it ends)."""
-    if inv.returncode != 0 or inv.mode == "setup":
+    if inv.returncode != 0:
         return []
     out = inv.out_dir
     try:
@@ -229,29 +222,19 @@ def evaluate(wl: Workload, invocations: list[Invocation], data_dir: str):
     for inv in invocations:
         ref = None if inv.out_dir == reference else reference
         inv.problems += check_outputs(wl, inv, data_dir, ref)
-        if not inv.problems and inv.mode != "setup":
+        if not inv.problems:
             inv.values["quality_loss"] = quality_loss(wl, inv.out_dir)
     return sum(1 for inv in invocations if inv.problems)
 
 
 def timed_set(wl: Workload, seed: int, seconds: float, work: str,
               env) -> list[Invocation]:
-    """Repeat the CLI until the next run would overrun `seconds`, then fill
-    the rest of the time with runs that stop when training starts, which
-    sample the set-up time alone."""
+    """Repeat the CLI until the next run would overrun `seconds`."""
     begin = time.monotonic()
     runs: list[Invocation] = []
-
-    def fits(longest):
-        return time.monotonic() - begin + longest <= seconds
-
-    while len(runs) < MIN_RUNS or fits(max(r.total_s for r in runs)):
+    while len(runs) < MIN_RUNS or (time.monotonic() - begin
+                                   + max(r.total_s for r in runs) <= seconds):
         runs.append(run_cli(wl, seed, work, env, len(runs)))
-        if runs[-1].problems:
-            return runs
-    while fits(max(r.total_s if r.mode == "setup" else r.values["setup_s"]
-                   for r in runs)):
-        runs.append(run_cli(wl, seed, work, env, len(runs), "setup"))
         if runs[-1].problems:
             break
     return runs

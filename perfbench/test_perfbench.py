@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 import shutil
 import sys
 from dataclasses import replace
 
 import pytest
 
+import checks
 import run as bench
 import tracer as tr
 from workloads import WORKLOADS
@@ -71,18 +73,6 @@ def test_every_metric_is_emitted(name):
             assert result["metrics"]["trace.absent_names"]["value"] == 0
 
 
-def test_setup_run_stops_when_training_starts():
-    wl = tiny("match-assign")
-    work, env, data_dir = prepared(wl)
-    runs = [bench.run_cli(wl, 1, work, env, 0),
-            bench.run_cli(wl, 1, work, env, 1, "setup")]
-    assert bench.evaluate(wl, runs, data_dir) == 0
-    assert set(runs[1].values) == {"setup_s"}
-    assert not os.path.exists(os.path.join(runs[1].out_dir, "report.kv"))
-    assert runs[1].total_s < runs[0].total_s
-    assert len(bench.samples(runs)["setup_s"]) == 2
-
-
 def _corrupt_and_count(wl, corrupt):
     work, env, data_dir = prepared(wl)
     runs = bench.timed_set(wl, 1, 0, work, env)
@@ -105,6 +95,44 @@ def test_duplicate_pair_counts_as_failed():
                                       duplicate_first_pair)
     assert failed == 1
     assert any("paired twice" in p for p in runs[1].problems)
+
+
+def test_empty_batch_counts_as_failed():
+    def drop_first_batch(out_dir):
+        data_dir = os.path.join(os.path.dirname(out_dir), "data")
+        with open(os.path.join(data_dir, "batches.txt"),
+                  encoding="utf-8") as fh:
+            batch = [line.strip() for line in fh if line.strip()]
+        path = os.path.join(out_dir, "assignment.txt")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(line for line in lines
+                          if batch[int(line.split()[0])] != batch[0])
+
+    failed, runs = _corrupt_and_count(tiny("match-assign"), drop_first_batch)
+    assert failed == 1
+    assert any("has 0 pairs" in p for p in runs[1].problems)
+
+
+def test_partial_assignment_passes_and_report_must_agree():
+    work = pathlib.Path(bench.ROOT, ".perfbench", "check-assignment")
+    shutil.rmtree(work, ignore_errors=True)
+    data, out = work / "data", work / "out"
+    data.mkdir(parents=True)
+    out.mkdir()
+    (data / "batches.txt").write_text("a\na\nb\nb\n")
+    (data / "correspondence.txt").write_text("0\n1\n3\n2\n")
+    # batch b pairs one of its two cells: partial, as the filter allows
+    (out / "assignment.txt").write_text("0\t1\n1\t0\n2\t3\n")
+    (out / "report.kv").write_text("score_assignment = 1.000000\n"
+                                   "top1_accuracy = 0.250000\n")
+    assert checks.check_assignment(out, data) == []
+    (out / "report.kv").write_text("score_assignment = 2.000000\n"
+                                   "top1_accuracy = 0.500000\n")
+    problems = checks.check_assignment(out, data)
+    assert len(problems) == 2
+    assert all(p.startswith("report.kv:") for p in problems)
 
 
 def test_nan_prediction_counts_as_failed():

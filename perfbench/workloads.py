@@ -38,20 +38,19 @@ WORKLOADS = {w.name: w for w in [
             "CSR spmm kernel, with the pathway channel on",
         synth={"n_cells": 3000, "dims": [1500, 45], "n_types": 4,
                "n_batches": 2, "noise": 0.1, "dropout": 0.97},
-        settings=_FIXED_EPOCHS + ("train.max_epochs=1", "conv.n_layers=4"),
+        settings=_FIXED_EPOCHS + ("train.max_epochs=3", "conv.n_layers=4"),
         gene_sets=(20, 10),
     ),
     # 2000 cells, 60 and 45 features at 70 % density, 2 batches: each
     # assignment block is about 1000 x 1000. Every operator is below the
     # dense cutoff, so CSR spmm does no work here and a sparse-kernel change
-    # should leave this workload flat. At the default 95th-percentile filter
-    # the kept entries of these blocks admit no perfect matching (about
-    # 1790 of 2000 cells get a pair), so the workload keeps the upper half of
-    # each block, where every batch matches in full and the output check
-    # "each batch matches min(block sides) pairs" holds. The solver's work
-    # depends on the learned embeddings: across seeds its time spreads by
-    # about a third (interquartile range over median), so 30 epochs of
-    # training keep the run's total time from being dominated by it.
+    # should leave this workload flat. The filter keeps its default 95th
+    # percentile, as users run it; the kept entries of these blocks usually
+    # admit no perfect matching, so the solver returns a partial
+    # maximum-cardinality matching (about 1790 of 2000 cells paired). The
+    # solver's time depends on the learned embeddings (interquartile range
+    # over median about 0.28 across ten seeds), so 30 epochs of training
+    # keep it from dominating the run's total time.
     Workload(
         name="match-assign",
         command="match",
@@ -59,8 +58,7 @@ WORKLOADS = {w.name: w for w in [
             "then percentile filter and assignment over 1000 x 1000 blocks",
         synth={"n_cells": 2000, "dims": [60, 45], "n_types": 4,
                "n_batches": 2, "noise": 0.1, "dropout": 0.3},
-        settings=_FIXED_EPOCHS + ("train.max_epochs=30",
-                                  "match.percentile=50"),
+        settings=_FIXED_EPOCHS + ("train.max_epochs=30",),
     ),
     # 1500 cells; modality 1 is peak-like, 3000 features at 2 % (about
     # 89.6k nnz), so TF-IDF and the truncated SVD of LSI take the CSR path
