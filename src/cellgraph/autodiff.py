@@ -157,29 +157,6 @@ class Tape:
                  needs_grad=needs)
         )
 
-    # -- generic dispatch (spec surface) ------------------------------------
-
-    def record(self, op_kind: str, *inputs, **attrs) -> int:
-        ops = {
-            "matmul": self.matmul,
-            "spmm_const": self.spmm_const,
-            "add": self.add,
-            "relu": self.relu,
-            "softmax_rows": self.softmax_rows,
-            "group_norm": self.group_norm,
-            "l2_normalize_rows": self.l2_normalize_rows,
-            "dropout": self.dropout,
-            "scalar_mix": self.scalar_mix,
-            "concat": self.concat,
-            "mse": self.mse,
-            "rmse": self.rmse,
-            "cross_entropy_rows": self.cross_entropy_rows,
-            "l2_penalty": self.l2_penalty,
-        }
-        if op_kind not in ops:
-            raise ValueError(f"unknown op kind {op_kind!r}")
-        return ops[op_kind](*inputs, **attrs)
-
     # -- ops -----------------------------------------------------------------
 
     def matmul(self, a: int, b: int, transpose_b: bool = False) -> int:
@@ -359,6 +336,22 @@ class Tape:
 
         return self._derived(out, tuple(tensors), vjp)
 
+    def take(self, x: int, indices, axis: int = 0) -> int:
+        """Rows (axis=0) or columns (axis=1) of x in the order of indices;
+        a repeated index gathers its slice again and sums its gradients."""
+        xv = self._val(x)
+        idx = np.asarray(indices, dtype=np.int64)
+        out = np.take(xv, idx, axis=axis)
+        shape = xv.shape
+        where = (slice(None),) * axis + (idx,)
+
+        def vjp(g):
+            dx = np.zeros(shape)
+            np.add.at(dx, where, g)
+            return (dx,)
+
+        return self._derived(out, (x,), vjp)
+
     def mse(self, pred: int, target) -> int:
         pv = self._val(pred)
         tv = np.asarray(target, dtype=np.float64)
@@ -468,13 +461,6 @@ class Tape:
                     grads[p] = pg
 
 
-def backward(tape: Tape, loss: int, params: ParamStore | None = None):
-    """Functional wrapper over Tape.backward (params must match tape.store)."""
-    if params is not None and params is not tape.store:
-        raise ValueError("params must be the store the tape recorded against")
-    tape.backward(loss)
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -580,27 +566,40 @@ def save_checkpoint(store: ParamStore, path):
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, size: int, path) -> bytes:
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ValueError(f"{path}: truncated checkpoint")
+    return buf
+
+
 def load_checkpoint(path) -> ParamStore:
+    """Inverse of save_checkpoint; a truncated file or trailing bytes raise
+    ValueError naming the path."""
     store = ParamStore()
     with open(path, "rb") as fh:
         if fh.read(4) != _CKPT_MAGIC:
             raise ValueError(f"{path}: not a cellgraph checkpoint")
-        version, step, count = struct.unpack("<IQ I", fh.read(16))
+        version, step, count = struct.unpack("<IQ I",
+                                             _read_exact(fh, 16, path))
         if version != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         store.step_count = step
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            rows, cols = struct.unpack("<II", fh.read(8))
+            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path))
+            name = _read_exact(fh, name_len, path).decode("utf-8")
+            rows, cols = struct.unpack("<II", _read_exact(fh, 8, path))
             n = rows * cols
             arrays = []
             for _ in range(3):
-                buf = fh.read(8 * n)
+                buf = _read_exact(fh, 8 * n, path)
                 arrays.append(
                     np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
                 )
             store.register(name, arrays[0])
             store.entries[name].adam_m[:] = arrays[1]
             store.entries[name].adam_v[:] = arrays[2]
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last "
+                             "parameter")
     return store

@@ -3,7 +3,8 @@
 Subcommands: synth, predict, match, embed, eval, gradcheck. Each reads an
 optional config file; --set key=value flags override file keys. Exit codes:
 0 success, 1 validation/usage error, 2 runtime failure. Output files carry
-no timestamps, so identical configs and seeds give byte-identical reports.
+no timestamps, so identical configs and seeds give byte-identical reports
+at the same BLAS thread count.
 """
 
 from __future__ import annotations
@@ -33,15 +34,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on bad flags; the contract wants usage + 1
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
-
-
-def thread_cap() -> int:
-    """CELLGRAPH_THREADS caps internal parallelism; default 1 for
-    determinism (the current kernels are single-threaded regardless)."""
-    try:
-        return max(1, int(os.environ.get("CELLGRAPH_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> _Parser:

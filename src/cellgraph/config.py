@@ -102,7 +102,6 @@ class RunConfig:
             use_pathway_channel=self.use_pathways,
             dropout_rate=self.dropout,
             n_groups=self.groups,
-            decoupled=task in ("match", "embed"),
         )
         cfg.validate()
         return cfg

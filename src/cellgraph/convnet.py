@@ -36,7 +36,6 @@ class ConvConfig:
     use_pathway_channel: bool = False
     dropout_rate: float = 0.2
     n_groups: int = 1
-    decoupled: bool = False
 
     def validate(self):
         if self.n_layers < 0:
@@ -70,8 +69,9 @@ def init_params(g: CellFeatureGraph, x: NodeEmbeddings, cfg: ConvConfig,
     p = prefix
     store.register(p + "in.cell.w", glorot_uniform(rng, x.cell_embed.shape[1], d))
     store.register(p + "in.cell.b", np.zeros((1, d)))
-    store.register(p + "in.feat.w",
-                   glorot_uniform(rng, x.feature_embed.shape[1], d))
+    feat_fan_in = (g.n_features if x.feature_embed is None
+                   else x.feature_embed.shape[1])
+    store.register(p + "in.feat.w", glorot_uniform(rng, feat_fan_in, d))
     store.register(p + "in.feat.b", np.zeros((1, d)))
     for layer in range(1, cfg.n_layers + 1):
         channels = ["uv", "vu"] + (["vv"] if cfg.use_pathway_channel else [])
@@ -104,19 +104,20 @@ def init_decoupled_params(n_input_features: int, cfg: ConvConfig,
 
 
 def input_transform(tape: Tape, x: NodeEmbeddings, prefix: str = ""):
-    """H1 = relu(X W + b), separately per node type."""
+    """H1 = relu(X W + b), separately per node type; for one-hot feature
+    input X W is W itself."""
     p = prefix
     cell = tape.relu(
         tape.add(tape.matmul(tape.constant(x.cell_embed),
                              tape.param(p + "in.cell.w")),
                  tape.param(p + "in.cell.b"))
     )
-    feat_in = (tape.param(x.feature_param) if x.feature_param
-               else tape.constant(x.feature_embed))
-    feat = tape.relu(
-        tape.add(tape.matmul(feat_in, tape.param(p + "in.feat.w")),
-                 tape.param(p + "in.feat.b"))
-    )
+    feat_w = tape.param(p + "in.feat.w")
+    if x.feature_embed is not None:
+        feat_in = (tape.param(x.feature_param) if x.feature_param
+                   else tape.constant(x.feature_embed))
+        feat_w = tape.matmul(feat_in, feat_w)
+    feat = tape.relu(tape.add(feat_w, tape.param(p + "in.feat.b")))
     return cell, feat
 
 
@@ -243,18 +244,7 @@ def forward_with_trace(tape: Tape, g: CellFeatureGraph, x: NodeEmbeddings,
 
 
 def forward(tape: Tape, g: CellFeatureGraph, x: NodeEmbeddings,
-            cfg: ConvConfig, prefix: str = "",
-            propagated: list[np.ndarray] | None = None) -> int:
-    """Cell representation H-hat for either mode.
-
-    Decoupled mode propagates x.cell_embed (pass `propagated` to reuse a
-    precomputed list; its first entry must be the raw input).
-    """
-    if not cfg.decoupled:
-        out, _ = forward_with_trace(tape, g, x, cfg, prefix)
-        return out
-    if propagated is None:
-        propagated = [x.cell_embed] + decoupled_propagate(
-            g, x.cell_embed, cfg.n_layers
-        )
-    return decoupled_forward(tape, propagated, cfg, prefix)
+            cfg: ConvConfig, prefix: str = "") -> int:
+    """Coupled cell representation H-hat (forward_with_trace's readout)."""
+    out, _ = forward_with_trace(tape, g, x, cfg, prefix)
+    return out

@@ -47,6 +47,18 @@ class Dataset:
             raise ValueError("per-cell arrays must have length n_cells")
         if len(self.feature_names_1) != self.modality_1.n_cols:
             raise ValueError("feature name count must match matrix width")
+        if self.modality_2 is not None and self.modality_2.n_rows != n:
+            raise ValueError(f"modality_2 has {self.modality_2.n_rows} rows, "
+                             f"expected {n}")
+        for name in ("cell_type_labels", "pseudotime", "cc_scores"):
+            values = getattr(self, name)
+            if values is not None and len(values) != n:
+                raise ValueError(f"{name} has {len(values)} entries, "
+                                 f"expected {n}")
+        if self.correspondence is not None and not np.array_equal(
+                np.sort(self.correspondence), np.arange(n)):
+            raise ValueError("correspondence must be a permutation of the "
+                             f"{n} modality-2 rows")
 
     @property
     def n_cells(self) -> int:

@@ -95,6 +95,15 @@ def _op_checks(seed: int) -> dict[str, float]:
           lambda t: t.mse(t.concat([t.param("a"), t.param("b")], axis=1),
                           cat_target),
           {"a": rng.standard_normal((n, d)), "b": rng.standard_normal((n, d))})
+    # a permuted strict subset of the rows, as matching gathers its pairs
+    rows = rng.permutation(n + 1)[:n]
+    check("take_rows",
+          lambda t: t.mse(t.take(t.param("x"), rows), target),
+          {"x": rng.standard_normal((n + 1, d))})
+    cols = rng.permutation(d + 2)[:d]
+    check("take_columns",
+          lambda t: t.mse(t.take(t.param("x"), cols, axis=1), target),
+          {"x": rng.standard_normal((n, d + 2))})
     check("mse",
           lambda t: t.mse(t.param("x"), target),
           {"x": rng.standard_normal((n, d))})

@@ -158,12 +158,14 @@ class GeneSetCollection:
 class NodeEmbeddings:
     """Initial cell and feature node embeddings.
 
-    feature_param names a trainable table in a ParamStore when the learned
-    initialization is active; feature_embed then mirrors its initial value.
+    feature_embed is None for one-hot feature input (the identity, never
+    built). feature_param names a trainable table in a ParamStore when the
+    learned initialization is active; feature_embed then mirrors its
+    initial value.
     """
 
     cell_embed: np.ndarray
-    feature_embed: np.ndarray
+    feature_embed: np.ndarray | None
     feature_param: str | None = None
 
 
@@ -236,7 +238,7 @@ def init_embeddings(
         feature_init = "learned" if k > 2000 else "one_hot"
     cell_embed = np.zeros((g.n_cells, 1))
     if feature_init == "one_hot":
-        return NodeEmbeddings(cell_embed, np.eye(k))
+        return NodeEmbeddings(cell_embed, None)
     if feature_init != "learned":
         raise ValueError(f"unknown feature_init {feature_init!r}")
     d = table_dim

@@ -1,7 +1,7 @@
 """Task heads: modality prediction, modality matching, joint embedding."""
 
-from .common import (EpochRecord, TrainProtocol, run_training,
-                     selector_matrix, split_cells, write_run_log)
+from .common import (EpochRecord, TrainProtocol, run_training, split_cells,
+                     write_run_log)
 from .embedding import (EmbedConfig, EmbedModel, JointEmbedding,
                         joint_embedding_loss, pca_concat_baseline,
                         register_embed_params, train_joint_embedding)
@@ -15,8 +15,8 @@ from .prediction import (PredictionModel, mean_predictor_rmse,
                          train_prediction)
 
 __all__ = [
-    "EpochRecord", "TrainProtocol", "run_training", "selector_matrix",
-    "split_cells", "write_run_log",
+    "EpochRecord", "TrainProtocol", "run_training", "split_cells",
+    "write_run_log",
     "EmbedConfig", "EmbedModel", "JointEmbedding", "joint_embedding_loss",
     "pca_concat_baseline", "register_embed_params", "train_joint_embedding",
     "MatcherConfig", "MatcherModel", "MatchOutput", "competition_match_score",

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..autodiff import ParamStore, Tape, adam_step, lr_decay
-from ..linalg import SparseMatrix
 
 
 @dataclass
@@ -46,15 +45,6 @@ def split_cells(n: int, fraction: float, seed: int):
     order = np.random.default_rng(seed).permutation(n)
     n_train = min(n - 1, max(1, int(round(n * fraction))))
     return np.sort(order[:n_train]), np.sort(order[n_train:])
-
-
-def selector_matrix(indices, n_cols: int) -> SparseMatrix:
-    """Sparse row-selection operator: (len(indices) x n_cols) one-hot rows."""
-    idx = np.asarray(indices, dtype=np.int64)
-    return SparseMatrix(
-        len(idx), n_cols,
-        np.arange(len(idx) + 1, dtype=np.int64), idx, np.ones(len(idx)),
-    )
 
 
 @dataclass

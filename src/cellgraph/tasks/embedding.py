@@ -12,8 +12,7 @@ from ..convnet import ConvConfig, decoupled_forward, decoupled_propagate, \
     init_decoupled_params
 from ..graph import EdgeScaling, build_bipartite
 from ..linalg import SparseMatrix, lsi_embedding, truncated_svd
-from .common import (EpochRecord, TrainProtocol, run_training,
-                     selector_matrix, split_cells)
+from .common import EpochRecord, TrainProtocol, run_training, split_cells
 
 EMBED_LR = 1e-2
 
@@ -64,11 +63,10 @@ def joint_embedding_loss(tape: Tape, h: int, x_lsi, cell_types, n_types: int,
     recon = tape.mse(tape.add(tape.matmul(hidden, tape.param(prefix + "je.w2")),
                               tape.param(prefix + "je.b2")),
                      np.asarray(x_lsi, dtype=np.float64))
-    eye = np.eye(d)
-    logits = tape.matmul(h, tape.constant(eye[:, :n_types]))
+    logits = tape.take(h, np.arange(n_types), axis=1)
     celltype = tape.cross_entropy_rows(logits, np.maximum(labels, 0),
                                        mask=labels >= 0, reduction="mean")
-    rest = tape.matmul(h, tape.constant(eye[:, n_types:]))
+    rest = tape.take(h, np.arange(n_types, d), axis=1)
     regular = tape.scalar_mix([tape.l2_penalty(rest)], np.array([beta]))
     total = tape.add(tape.add(recon, celltype), regular)
     return total, recon, celltype, regular
@@ -77,8 +75,8 @@ def joint_embedding_loss(tape: Tape, h: int, x_lsi, cell_types, n_types: int,
 @dataclass
 class EmbedConfig:
     conv: ConvConfig = field(default_factory=lambda: ConvConfig(
-        n_layers=2, hidden_dim=48, decoupled=True,
-        aggregation_norm=EdgeScaling.POST_NORM, dropout_rate=0.2))
+        n_layers=2, hidden_dim=48, aggregation_norm=EdgeScaling.POST_NORM,
+        dropout_rate=0.2))
     lsi_rank: int = 32
     beta: float = 0.01
 
@@ -110,7 +108,6 @@ def train_joint_embedding(m1: SparseMatrix, m2: SparseMatrix, cell_types,
     if m1.n_rows != m2.n_rows:
         raise ValueError("modalities must be row-aligned")
     cfg = cfg or EmbedConfig()
-    cfg.conv.decoupled = True
     labels = np.asarray(cell_types, dtype=np.int64)
     labeled = labels[labels >= 0]
     if labeled.size == 0:
@@ -134,23 +131,21 @@ def train_joint_embedding(m1: SparseMatrix, m2: SparseMatrix, cell_types,
 
     n = m1.n_rows
     train_idx, val_idx = split_cells(n, protocol.split_fraction, protocol.seed)
-    sel_train = selector_matrix(train_idx, n)
-    sel_val = selector_matrix(val_idx, n)
 
-    def build_loss(tape: Tape, sel, rows):
+    def build_loss(tape: Tape, rows):
         h_all = decoupled_forward(tape, states, cfg.conv)
-        h_sub = tape.spmm_const(sel, h_all)
         total, _, _, _ = joint_embedding_loss(
-            tape, h_sub, x[rows], labels[rows], n_types, cfg.beta
+            tape, tape.take(h_all, rows), x[rows], labels[rows], n_types,
+            cfg.beta
         )
         return total
 
     def train_epoch(tape: Tape):
-        return build_loss(tape, sel_train, train_idx)
+        return build_loss(tape, train_idx)
 
     def validate() -> float:
         tape = Tape(store, train=False)
-        return float(np.asarray(tape.value(build_loss(tape, sel_val, val_idx))))
+        return float(np.asarray(tape.value(build_loss(tape, val_idx))))
 
     best_val, best_epoch, history = run_training(
         store, train_epoch, validate, protocol, EMBED_LR

@@ -13,8 +13,7 @@ from ..convnet import ConvConfig, decoupled_forward, decoupled_propagate, \
     init_decoupled_params
 from ..graph import EdgeScaling, build_bipartite
 from ..linalg import SparseMatrix, l2_normalize_rows, truncated_svd
-from .common import (EpochRecord, TrainProtocol, run_training,
-                     selector_matrix, split_cells)
+from .common import EpochRecord, TrainProtocol, run_training, split_cells
 
 MATCHING_LR = 1e-2
 # learned logit scale, as CLIP's logit_scale (Radford et al. 2021): stored
@@ -234,8 +233,8 @@ def match_scores(output: MatchOutput, truth) -> dict[str, float]:
 @dataclass
 class MatcherConfig:
     conv: ConvConfig = field(default_factory=lambda: ConvConfig(
-        n_layers=3, hidden_dim=64, decoupled=True,
-        aggregation_norm=EdgeScaling.POST_NORM, dropout_rate=0.5))
+        n_layers=3, hidden_dim=64, aggregation_norm=EdgeScaling.POST_NORM,
+        dropout_rate=0.5))
     reduce_rank: int = 32
     aux_weight: float = 1.0
     use_aux: bool = True
@@ -287,7 +286,6 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
     the validation split.
     """
     cfg = cfg or MatcherConfig()
-    cfg.conv.decoupled = True
     n = m1.n_rows
     t_all = _check_bijection(correspondence, n)
     x1 = reduce_modality(m1, cfg.reduce_rank, protocol.seed)
@@ -310,15 +308,14 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
                             x2.shape[1], protocol.seed + 2)
 
     train_idx, val_idx = split_cells(n, protocol.split_fraction, protocol.seed)
-    sel1 = selector_matrix(train_idx, n)
-    sel2 = selector_matrix(t_all[train_idx], n)
     aux_train = (x1[train_idx], x2[t_all[train_idx]]) if cfg.use_aux else None
 
     def train_epoch(tape: Tape):
         h1_all = decoupled_forward(tape, states1, cfg.conv, prefix="m1.")
         h2_all = decoupled_forward(tape, states2, cfg.conv, prefix="m2.")
         total, _, _ = matching_losses(
-            tape, tape.spmm_const(sel1, h1_all), tape.spmm_const(sel2, h2_all),
+            tape, tape.take(h1_all, train_idx),
+            tape.take(h2_all, t_all[train_idx]),
             np.arange(len(train_idx)), aux_targets=aux_train,
             aux_weight=cfg.aux_weight)
         return total

@@ -11,8 +11,7 @@ from ..convnet import ConvConfig, forward, init_params
 from ..graph import (CellFeatureGraph, GeneSetCollection, NodeEmbeddings,
                      augment_with_pathways, build_bipartite, init_embeddings)
 from ..linalg import SparseMatrix, truncated_svd
-from .common import (EpochRecord, TrainProtocol, run_training,
-                     selector_matrix, split_cells)
+from .common import EpochRecord, TrainProtocol, run_training, split_cells
 
 PREDICTION_LR = 1e-3
 
@@ -90,14 +89,13 @@ def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
     train_idx, val_idx = split_cells(g.n_cells, protocol.split_fraction,
                                      protocol.seed)
     g_train = g if transductive else _edges_restricted_to(g, train_idx)
-    sel_train = selector_matrix(train_idx, g.n_cells)
     target_train = target[train_idx]
 
     def train_epoch(tape: Tape):
         h_hat = forward(tape, g_train, x, cfg)
         pred = tape.add(tape.matmul(h_hat, tape.param("head.w")),
                         tape.param("head.b"))
-        return tape.rmse(tape.spmm_const(sel_train, pred), target_train)
+        return tape.rmse(tape.take(pred, train_idx), target_train)
 
     def validate() -> float:
         tape = Tape(store, train=False)

@@ -68,12 +68,22 @@ class TestForwardOps:
         with pytest.raises(ValueError, match="add"):
             t.add(t.constant(np.ones((2, 3))), t.constant(np.ones((3, 2))))
 
-    def test_record_dispatch(self):
-        t = Tape()
-        out = t.record("relu", t.constant([[-2.0, 5.0]]))
-        assert np.array_equal(t.value(out), [[0.0, 5.0]])
-        with pytest.raises(ValueError, match="unknown op kind"):
-            t.record("conv3d", 0)
+    def test_take_gathers_rows_and_columns(self):
+        x = np.arange(20.0).reshape(4, 5)
+        for idx, axis, picked in (([3, 0, 2], 0, x[[3, 0, 2]]),
+                                  ([4, 1], 1, x[:, [4, 1]])):
+            store = store_with(x=x)
+            t = Tape(store)
+            out = t.take(t.param("x"), np.array(idx), axis=axis)
+            assert np.array_equal(t.value(out), picked)
+            t.backward(t.mse(out, np.zeros(picked.shape)))
+            expected = np.zeros_like(x)
+            if axis == 0:
+                expected[idx] = 2 * picked / picked.size
+            else:
+                expected[:, idx] = 2 * picked / picked.size
+            # the unselected row / columns get exactly zero
+            assert np.array_equal(store.grad("x"), expected)
 
 
 class TestBackward:
@@ -262,6 +272,21 @@ class TestSnapshotAndCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="not a cellgraph checkpoint"):
             load_checkpoint(path)
+
+    def test_checkpoint_rejects_truncation_and_trailing_bytes(self, tmp_path):
+        store = store_with(a=np.ones((2, 3)), b=np.arange(4.0))
+        path = tmp_path / "full.ckpt"
+        save_checkpoint(store, path)
+        raw = path.read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        for cut in range(len(raw)):
+            bad.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="bad.ckpt"):
+                load_checkpoint(bad)
+        for junk in (b"\x00", b"CGCK" + raw[4:20]):
+            bad.write_bytes(raw + junk)
+            with pytest.raises(ValueError, match="bad.ckpt: trailing bytes"):
+                load_checkpoint(bad)
 
     def test_duplicate_registration_rejected(self):
         store = store_with(w=np.ones((1, 1)))

@@ -260,15 +260,12 @@ class TestDecoupledPropagate:
 
 class TestForward:
     def test_zero_layers_decoupled_is_mlp_only(self):
-        g = toy_graph(np.eye(3))
-        cfg = ConvConfig(n_layers=0, hidden_dim=4, decoupled=True,
-                         dropout_rate=0.0)
+        cfg = ConvConfig(n_layers=0, hidden_dim=4, dropout_rate=0.0)
         store = ParamStore()
         init_decoupled_params(2, cfg, store, seed=15)
         x = np.random.default_rng(16).standard_normal((3, 2))
         t = Tape(store)
-        out = forward(t, g, init_embeddings(g, "one_hot"), cfg,
-                      propagated=[x])
+        out = decoupled_forward(t, [x], cfg)
         hidden = relu(x @ store.value("dec.w1") + store.value("dec.b1"))
         expected = (hidden @ store.value("dec.w2") + store.value("dec.b2"))
         assert np.allclose(t.value(out), expected * 1.0)  # readout w = [1]

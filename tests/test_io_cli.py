@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import os
 
@@ -173,6 +174,24 @@ class TestGenerateSynthetic:
         assert np.array_equal(loaded.correspondence, ds.correspondence)
         assert np.array_equal(loaded.pseudotime, ds.pseudotime)
         assert loaded.cell_ids == ds.cell_ids
+
+    def test_repeated_correspondence_index_rejected(self, tmp_path):
+        ds = generate_synthetic(40, seed=8)
+        ds.correspondence[1] = ds.correspondence[0]
+        save_dataset(ds, tmp_path)
+        with pytest.raises(ValueError, match="correspondence"):
+            load_dataset(tmp_path)
+
+    def test_per_cell_lengths_checked(self):
+        ds = generate_synthetic(40, seed=8)
+        for name, short in (
+                ("cell_type_labels", ds.cell_type_labels[:37]),
+                ("pseudotime", ds.pseudotime[:39]),
+                ("cc_scores", ds.cc_scores[:39]),
+                ("modality_2", SparseMatrix.from_dense(
+                    ds.modality_2.to_dense()[:39]))):
+            with pytest.raises(ValueError, match=f"{name} has"):
+                dataclasses.replace(ds, **{name: short})
 
 
 class TestConfig:
