@@ -70,8 +70,17 @@ class Dataset:
             raise ValueError("dataset has a single modality")
         if self.correspondence is None:
             return self.modality_2
-        dense = self.modality_2.to_dense()[self.correspondence]
-        return SparseMatrix.from_dense(dense)
+        m = self.modality_2
+        # row i is source row correspondence[i]: gather each one's slice of
+        # the stored entries, then drop stored zeros as from_dense would
+        lengths = np.diff(m.row_offsets)[self.correspondence]
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        src = np.arange(bounds[-1]) + np.repeat(
+            m.row_offsets[self.correspondence] - bounds[:-1], lengths)
+        keep = m.values[src] != 0
+        offsets = np.concatenate(([0], np.cumsum(keep)))[bounds]
+        return SparseMatrix(m.n_rows, m.n_cols, offsets,
+                            m.col_indices[src[keep]], m.values[src[keep]])
 
     def batch_labels_2(self) -> np.ndarray:
         """Batch label of each modality-2 row."""
@@ -371,7 +380,7 @@ def load_dataset(data_dir) -> Dataset:
             features2 = [line.strip() for line in fh if line.strip()]
     batch_ids, batch_names = load_labels(path("batches"))
     types = optional("types", load_labels)
-    return Dataset(
+    fields = dict(
         modality_1=load_sparse_matrix(path("modality1")),
         modality_2=optional("modality2", load_sparse_matrix),
         cell_ids=cell_ids,
@@ -385,3 +394,7 @@ def load_dataset(data_dir) -> Dataset:
         pseudotime=optional("pseudotime", load_real_array),
         cc_scores=optional("cc_scores", load_real_array),
     )
+    try:
+        return Dataset(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{data_dir}: {exc}") from exc

@@ -198,9 +198,9 @@ def augment_with_pathways(
         for a in range(len(uniq)):
             for b in range(a + 1, len(uniq)):
                 pairs.add((uniq[a], uniq[b]))
+    pairs = sorted(pairs)
     ii, jj, ww = [], [], []
-    for i, j in sorted(pairs):
-        w = cosine_similarity_columns(m, i, j)
+    for (i, j), w in zip(pairs, cosine_similarity_columns(m, pairs)):
         if w > 0:
             ii.append(i)
             jj.append(j)

@@ -73,10 +73,15 @@ class SparseMatrix:
             self.col_indices.min() < 0 or self.col_indices.max() >= self.n_cols
         ):
             raise ValueError("column index out of range")
-        for r in range(self.n_rows):
-            lo, hi = self.row_offsets[r], self.row_offsets[r + 1]
-            if hi - lo > 1 and np.any(np.diff(self.col_indices[lo:hi]) <= 0):
-                raise ValueError(f"columns not strictly increasing in row {r}")
+        # a column must rise wherever the next entry does not start a row
+        starts = self.row_offsets[:-1]
+        row_start = np.zeros(self.nnz, dtype=bool)
+        row_start[starts[starts < self.nnz]] = True
+        bad = np.flatnonzero(
+            (np.diff(self.col_indices) <= 0) & ~row_start[1:])
+        if bad.size:
+            r = np.searchsorted(self.row_offsets, bad[0], side="right") - 1
+            raise ValueError(f"columns not strictly increasing in row {r}")
         if len(self.values) and not np.all(np.isfinite(self.values)):
             raise ValueError("sparse values contain NaN/Inf")
 
@@ -138,8 +143,8 @@ class SparseMatrix:
         out[self.row_indices(), self.col_indices] = self.values
         return out
 
-    # matrices this small are faster through BLAS than through the
-    # gather/segment-sum path; the product is identical either way
+    # matrices this small are mostly faster through BLAS than through the
+    # CSR path; the two round differently, so moving this cutoff moves bits
     _DENSE_MATMUL_LIMIT = 1 << 22
 
     def _dense_for_matmul(self) -> "np.ndarray | None":
@@ -181,14 +186,30 @@ class SparseMatrix:
         """Column j as a dense vector."""
         if not 0 <= j < self.n_cols:
             raise IndexError(f"column {j} out of range for {self.shape}")
+        t = self.transpose()
+        lo, hi = t.row_offsets[j], t.row_offsets[j + 1]
         out = np.zeros(self.n_rows)
-        hit = self.col_indices == j
-        out[self.row_indices()[hit]] = self.values[hit]
+        out[t.col_indices[lo:hi]] = t.values[lo:hi]
         return out
 
 
+# stored entries per chunk of whole rows in the CSR branch of spmm: the
+# gathered chunk (this many rows of b) stays in cache instead of an nnz x d
+# temporary in memory
+_SPMM_CHUNK_NNZ = 4096
+
+
 def spmm(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
-    """Sparse @ dense with per-row accumulation (deterministic)."""
+    """Sparse @ dense, accumulated per row over the stored entries in order.
+
+    The CSR branch walks the matrix in chunks of whole rows holding about
+    `_SPMM_CHUNK_NNZ` stored entries (a longer row is a chunk of its own),
+    so its temporaries stay near that many rows of b. Each row's sum runs
+    over the same entries in the same order wherever the chunk boundaries
+    fall, so the product is bit-identical to one pass over all of a.
+    Operators small enough for `SparseMatrix._dense_for_matmul` go through
+    a densified copy and BLAS instead.
+    """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2 or a.n_cols != b.shape[0]:
         raise ValueError(
@@ -198,13 +219,22 @@ def spmm(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
     if dense is not None:
         return dense @ b
     out = np.zeros((a.n_rows, b.shape[1]))
-    if a.nnz == 0:
-        return out
-    contrib = a.values[:, None] * b[a.col_indices]
-    nonempty = np.flatnonzero(np.diff(a.row_offsets))
-    # reduceat over starts of non-empty rows: empty rows in between would
-    # corrupt segment boundaries if passed directly.
-    out[nonempty] = np.add.reduceat(contrib, a.row_offsets[nonempty], axis=0)
+    offsets = a.row_offsets
+    r0 = 0
+    while r0 < a.n_rows:
+        budget_end = np.searchsorted(
+            offsets, offsets[r0] + _SPMM_CHUNK_NNZ, side="right") - 1
+        r1 = max(r0 + 1, budget_end)
+        s, e = offsets[r0], offsets[r1]
+        if e > s:
+            contrib = b[a.col_indices[s:e]]
+            contrib *= a.values[s:e, None]
+            # reduceat over starts of non-empty rows: empty rows in between
+            # would corrupt segment boundaries if passed directly.
+            nonempty = r0 + np.flatnonzero(np.diff(offsets[r0:r1 + 1]))
+            out[nonempty] = np.add.reduceat(
+                contrib, offsets[nonempty] - s, axis=0)
+        r0 = r1
     return out
 
 
@@ -264,13 +294,16 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return np.where(norms > 0, m / np.where(norms > 0, norms, 1.0), 0.0)
 
 
-def cosine_similarity_columns(m: SparseMatrix, i: int, j: int) -> float:
-    """Cosine of columns i and j; 0 when either column is all zero."""
-    ci, cj = m.column(i), m.column(j)
-    ni, nj = np.linalg.norm(ci), np.linalg.norm(cj)
-    if ni == 0 or nj == 0:
-        return 0.0
-    return float(ci @ cj / (ni * nj))
+def cosine_similarity_columns(m: SparseMatrix, pairs) -> np.ndarray:
+    """Cosine of columns i and j of m for each pair (i, j); 0 where either
+    column is all zero. Each distinct column is densified once."""
+    columns = {k: m.column(k) for k in {k for pair in pairs for k in pair}}
+    norms = {k: np.linalg.norm(c) for k, c in columns.items()}
+    out = np.zeros(len(pairs))
+    for p, (i, j) in enumerate(pairs):
+        if norms[i] and norms[j]:
+            out[p] = columns[i] @ columns[j] / (norms[i] * norms[j])
+    return out
 
 
 def tfidf(m: SparseMatrix) -> SparseMatrix:

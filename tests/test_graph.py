@@ -5,7 +5,7 @@ from cellgraph.autodiff import ParamStore
 from cellgraph.graph import (CellFeatureGraph, EdgeScaling, GeneSetCollection,
                              augment_with_pathways, build_bipartite,
                              init_embeddings)
-from cellgraph.linalg import SparseMatrix, cosine_similarity_columns
+from cellgraph.linalg import SparseMatrix
 
 
 def graph_from(dense):
@@ -62,11 +62,36 @@ class TestAugmentWithPathways:
         g = augment_with_pathways(build_bipartite(m), sets, m)
         expected = {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)}
         got = set(zip(g.ff_i.tolist(), g.ff_j.tolist()))
-        positive = {p for p in expected
-                    if cosine_similarity_columns(m, *p) > 0}
-        assert got == positive
+        # pytest.approx absorbs the different order a strided dot product
+        # may sum in
+        cosine = {(i, j): dense[:, i] @ dense[:, j]
+                  / (np.linalg.norm(dense[:, i]) * np.linalg.norm(dense[:, j]))
+                  for i, j in expected}
+        assert got == {p for p in expected if cosine[p] > 0}
         for i, j, w in zip(g.ff_i, g.ff_j, g.ff_weights):
-            assert w == pytest.approx(cosine_similarity_columns(m, i, j))
+            assert w == pytest.approx(cosine[i, j])
+
+    def test_weights_equal_dense_cosine(self):
+        rng = np.random.default_rng(8)
+        dense = (np.abs(rng.standard_normal((40, 6)))
+                 * (rng.random((40, 6)) < 0.5))
+        m = SparseMatrix.from_dense(dense)
+        sets = GeneSetCollection([("a", [0, 1, 2, 3]), ("b", [3, 4, 5])])
+        g = augment_with_pathways(build_bipartite(m), sets, m)
+        assert len(g.ff_weights) > 0
+        for i, j, w in zip(g.ff_i, g.ff_j, g.ff_weights):
+            # fresh contiguous copies, as m.column returns: the dot
+            # product's rounding can depend on the vectors' alignment
+            ci, cj = dense[:, i].copy(), dense[:, j].copy()
+            assert w == ci @ cj / (np.linalg.norm(ci) * np.linalg.norm(cj))
+
+    def test_zero_cosine_dropped(self):
+        # columns 0 and 1 are orthogonal, column 2 is all zero
+        m = SparseMatrix.from_dense(np.array([[1.0, 0.0, 0.0],
+                                              [0.0, 1.0, 0.0]]))
+        g = augment_with_pathways(build_bipartite(m),
+                                  GeneSetCollection([("s", [0, 1, 2])]), m)
+        assert not g.has_pathways
 
     def test_nonpositive_cosine_dropped(self):
         m = SparseMatrix.from_dense(np.array([[1.0, -1.0], [1.0, -1.0]]))

@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import os
+import re
 
 import numpy as np
 import pytest
@@ -179,8 +180,25 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(40, seed=8)
         ds.correspondence[1] = ds.correspondence[0]
         save_dataset(ds, tmp_path)
-        with pytest.raises(ValueError, match="correspondence"):
+        with pytest.raises(ValueError, match=re.escape(f"{tmp_path}: ")
+                           + "correspondence must be a permutation"):
             load_dataset(tmp_path)
+
+    def test_aligned_modality_2_permutes_rows_sparsely(self):
+        ds = generate_synthetic(40, seed=8)
+        dense = ds.modality_2.to_dense()
+        dense[ds.correspondence[0]] = 0.0  # aligned row 0 is empty
+        m2 = SparseMatrix.from_dense(dense)
+        values = m2.values.copy()
+        values[5] = 0.0  # a stored zero, which the aligned copy drops
+        m2 = m2.with_values(values)
+        aligned = dataclasses.replace(ds, modality_2=m2).modality_2_aligned()
+        expected = SparseMatrix.from_dense(m2.to_dense()[ds.correspondence])
+        assert aligned.nnz == m2.nnz - 1
+        assert aligned.row_offsets[1] == 0
+        for name in ("row_offsets", "col_indices", "values"):
+            assert np.array_equal(getattr(aligned, name),
+                                  getattr(expected, name))
 
     def test_per_cell_lengths_checked(self):
         ds = generate_synthetic(40, seed=8)

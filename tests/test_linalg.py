@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellgraph import linalg
 from cellgraph.linalg import (NormalizationUndefined, SparseMatrix,
                               cosine_similarity_columns, l2_normalize_rows,
                               min_max_scale, spmm, standardize_rows,
@@ -24,6 +27,17 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             SparseMatrix(1, 1, np.array([0, 1]), np.array([0]),
                          np.array([np.nan]))
+
+    def test_unordered_row_named_after_empty_rows(self):
+        # rows 1 and 2 are empty; row 3 stores columns 2 then 1
+        with pytest.raises(ValueError,
+                           match=r"not strictly increasing in row 3$"):
+            SparseMatrix(4, 3, np.array([0, 1, 1, 1, 3]), np.array([0, 2, 1]),
+                         np.array([1.0, 1.0, 1.0]))
+        # a column may fall where a new row starts, across empty rows too
+        m = SparseMatrix(4, 3, np.array([0, 1, 1, 1, 3]), np.array([2, 0, 1]),
+                         np.array([1.0, 1.0, 1.0]))
+        assert m.nnz == 3
 
     def test_dense_round_trip(self):
         rng = np.random.default_rng(0)
@@ -70,6 +84,98 @@ class TestSpmm:
         rng = np.random.default_rng(3)
         a, dense = random_sparse(rng, 6, 6)
         assert np.allclose(spmm(a, np.eye(6)), dense)
+
+
+def one_shot_spmm(a, b):
+    """The CSR product in one gather over all stored entries."""
+    out = np.zeros((a.n_rows, b.shape[1]))
+    ne = np.flatnonzero(np.diff(a.row_offsets))
+    out[ne] = np.add.reduceat(a.values[:, None] * b[a.col_indices],
+                              a.row_offsets[ne], axis=0)
+    return out
+
+
+def csr_from_rows(n_cols, rows, rng):
+    """CSR matrix whose row r stores the sorted distinct columns rows[r]."""
+    lengths = [len(cols) for cols in rows]
+    offsets = np.concatenate(([0], np.cumsum(lengths))).astype(np.int64)
+    cols = np.concatenate([np.sort(c) for c in rows]
+                          + [np.zeros(0, dtype=np.int64)])
+    return SparseMatrix(len(rows), n_cols, offsets, cols,
+                        rng.standard_normal(int(offsets[-1])))
+
+
+class TestSpmmCsr:
+    """Operators above the dense cutoff, so spmm takes the CSR branch."""
+
+    def assert_csr_matches_one_shot(self, a, b):
+        assert a._dense_for_matmul() is None
+        assert np.array_equal(spmm(a, b), one_shot_spmm(a, b))
+
+    def test_row_longer_than_chunk_budget(self):
+        rng = np.random.default_rng(10)
+        n_cols = 8000
+        assert n_cols > linalg._SPMM_CHUNK_NNZ
+        rows = [rng.choice(n_cols, 40, replace=False) for _ in range(600)]
+        rows[300] = np.arange(n_cols)
+        a = csr_from_rows(n_cols, rows, rng)
+        self.assert_csr_matches_one_shot(a, rng.standard_normal((n_cols, 5)))
+
+    def test_empty_rows_at_chunk_edges_and_ends(self):
+        rng = np.random.default_rng(11)
+        n_cols = 2000
+        per_row = 64  # a budget's worth of rows ends exactly on a row end
+        rows = [rng.choice(n_cols, per_row, replace=False)
+                for _ in range(2100)]
+        chunk_rows = linalg._SPMM_CHUNK_NNZ // per_row
+        empty = [0, 1, 2, 2097, 2098, 2099]
+        for edge in range(chunk_rows, 2000, chunk_rows):
+            empty += [edge - 1, edge, edge + 1]
+        for r in empty:
+            rows[r] = np.zeros(0, dtype=np.int64)
+        rows[1000] = np.arange(n_cols)  # a long row then empty rows
+        rows[1001] = rows[1002] = np.zeros(0, dtype=np.int64)
+        a = csr_from_rows(n_cols, rows, rng)
+        b = rng.standard_normal((n_cols, 7))
+        out = spmm(a, b)
+        assert np.array_equal(out, one_shot_spmm(a, b))
+        assert not out[empty].any()
+
+    def test_all_empty_matrix(self):
+        a = SparseMatrix.from_coo(2100, 2000, [], [], [])
+        out = spmm(a, np.ones((2000, 3)))
+        assert out.shape == (2100, 3) and not out.any()
+        self.assert_csr_matches_one_shot(a, np.ones((2000, 3)))
+
+    def test_single_column_b(self):
+        rng = np.random.default_rng(12)
+        rows = [rng.choice(2000, rng.integers(0, 90), replace=False)
+                for _ in range(2100)]
+        a = csr_from_rows(2000, rows, rng)
+        self.assert_csr_matches_one_shot(a, rng.standard_normal((2000, 1)))
+        self.assert_csr_matches_one_shot(
+            a.transpose(), rng.standard_normal((2100, 1)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2099), st.integers(0, 1999)),
+                    max_size=300),
+           st.lists(st.integers(0, 2099), max_size=3),
+           st.integers(1, 64), st.integers(1, 4))
+    def test_drawn_pattern_any_chunk_budget(self, entries, full_rows,
+                                            budget, width):
+        rng = np.random.default_rng(len(entries))
+        rows = [[] for _ in range(2100)]
+        for r, c in set(entries):
+            rows[r].append(c)
+        for r in full_rows:
+            rows[r] = list(range(2000))
+        a = csr_from_rows(2000, [np.array(r, dtype=np.int64) for r in rows],
+                          rng)
+        b = rng.standard_normal((2000, width))
+        expected = one_shot_spmm(a, b)
+        for chunk in (budget, linalg._SPMM_CHUNK_NNZ):
+            with mock.patch.object(linalg, "_SPMM_CHUNK_NNZ", chunk):
+                assert np.array_equal(spmm(a, b), expected)
 
 
 class TestSymmetricEdgeNormalize:
@@ -155,26 +261,27 @@ class TestL2NormalizeRows:
 class TestCosineSimilarityColumns:
     def test_identical_columns(self):
         m = SparseMatrix.from_dense(np.array([[1.0, 1.0], [2.0, 2.0]]))
-        assert cosine_similarity_columns(m, 0, 1) == pytest.approx(1.0)
+        assert cosine_similarity_columns(m, [(0, 1)])[0] == pytest.approx(1.0)
 
     def test_orthogonal_columns(self):
         m = SparseMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert cosine_similarity_columns(m, 0, 1) == 0.0
+        assert cosine_similarity_columns(m, [(0, 1)])[0] == 0.0
 
     def test_zero_column_gives_zero(self):
         m = SparseMatrix.from_dense(np.array([[1.0, 0.0], [2.0, 0.0]]))
-        assert cosine_similarity_columns(m, 0, 1) == 0.0
+        assert cosine_similarity_columns(m, [(0, 1)])[0] == 0.0
 
     def test_matches_dense_computation(self):
         rng = np.random.default_rng(8)
         sp, dense = random_sparse(rng, 20, 2, density=0.5)
         a, b = dense[:, 0], dense[:, 1]
         expected = a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
-        assert cosine_similarity_columns(sp, 0, 1) == pytest.approx(expected)
+        assert cosine_similarity_columns(sp, [(0, 1)])[0] == pytest.approx(
+            expected)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            cosine_similarity_columns(SparseMatrix.identity(2), 0, 5)
+            cosine_similarity_columns(SparseMatrix.identity(2), [(0, 5)])
 
 
 class TestTfidf:
