@@ -22,10 +22,9 @@ ds = generate_synthetic(n_cells=400, dims=(60, 45), noise=0.1, dropout=0.3,
 target = ds.modality_2_aligned().to_dense()
 
 # the graph has one node per cell and one per source feature; raw counts
-# are non-negative, but we still use post-aggregation normalization (the
-# configuration that handles reduced inputs as well)
+# are non-negative, but the config still asks for post-aggregation
+# normalization (the setting that handles reduced inputs as well)
 graph = build_bipartite(ds.modality_1)
-graph.normalization_mode = EdgeScaling.POST_NORM
 
 cfg = ConvConfig(n_layers=4, hidden_dim=48, residual_mode="initial",
                  aggregation_norm=EdgeScaling.POST_NORM, dropout_rate=0.2)

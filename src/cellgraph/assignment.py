@@ -36,14 +36,6 @@ class AssignmentProblem:
             if self.allowed.shape != self.profits.shape:
                 raise ValueError("allowed mask must match the profit shape")
 
-    @property
-    def n_left(self) -> int:
-        return self.profits.shape[0]
-
-    @property
-    def n_right(self) -> int:
-        return self.profits.shape[1]
-
 
 @dataclass
 class AssignmentResult:

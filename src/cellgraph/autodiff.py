@@ -207,17 +207,6 @@ class Tape:
 
         return self._derived(np.where(mask, xv, 0.0), (x,), vjp)
 
-    def softmax_rows(self, x: int) -> int:
-        xv = self._val(x)
-        shifted = xv - xv.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        p = e / e.sum(axis=1, keepdims=True)
-
-        def vjp(g):
-            return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
-
-        return self._derived(p, (x,), vjp)
-
     def group_norm(self, x: int, gamma: int, beta: int, n_groups: int = 1,
                    eps: float = 1e-5) -> int:
         xv = self._val(x)
@@ -324,17 +313,6 @@ class Tape:
             return scale * g, np.sum(g * out).reshape(sv.shape)
 
         return self._derived(out, (x, log_scale), vjp)
-
-    def concat(self, tensors: list[int], axis: int = 1) -> int:
-        vals = [self._val(t) for t in tensors]
-        out = np.concatenate(vals, axis=axis)
-        sizes = [v.shape[axis] for v in vals]
-        splits = np.cumsum(sizes)[:-1]
-
-        def vjp(g):
-            return tuple(np.split(g, splits, axis=axis))
-
-        return self._derived(out, tuple(tensors), vjp)
 
     def take(self, x: int, indices, axis: int = 0) -> int:
         """Rows (axis=0) or columns (axis=1) of x in the order of indices;

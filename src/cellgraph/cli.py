@@ -133,14 +133,13 @@ def _run_predict(cfg: RunConfig) -> int:
     target = ds.modality_2_aligned().to_dense()
     g = build_bipartite(ds.modality_1)
     conv = cfg.conv_config("predict")
-    g.normalization_mode = conv.aggregation_norm
     gene_sets = None
     if cfg.gene_sets:
         names_path = os.path.join(cfg.data, "features1.txt")
         gene_sets = dio.load_gene_sets(cfg.gene_sets, names_path)
         conv.use_pathway_channel = True
     model = train_prediction(g, target, conv, cfg.protocol(),
-                             gene_sets=gene_sets, source=ds.modality_1)
+                             gene_sets=gene_sets)
     out = _out_dir(cfg, "predict_out")
     write_run_log(model.history, os.path.join(out, "run.log"))
     dio.write_kv({

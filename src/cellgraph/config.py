@@ -3,7 +3,7 @@ validation, and builders for the per-module config objects."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .convnet import ConvConfig, default_layer_count
 from .graph import EdgeScaling
@@ -37,7 +37,6 @@ class RunConfig:
     residual: str = "initial"
     norm: str = "post_norm"
     groups: int = 1
-    use_pathways: bool = False
     gene_sets: str = ""
     # train.*
     split_fraction: float = 0.85
@@ -99,7 +98,6 @@ class RunConfig:
             residual_mode=self.residual,
             aggregation_norm=_NORM_NAMES[self.norm],
             alpha=self.alpha,
-            use_pathway_channel=self.use_pathways,
             dropout_rate=self.dropout,
             n_groups=self.groups,
         )
@@ -170,7 +168,6 @@ CONFIG_KEYS: dict[str, tuple[str, object]] = {
     "conv.residual": ("residual", str),
     "conv.norm": ("norm", str),
     "conv.groups": ("groups", int),
-    "conv.use_pathways": ("use_pathways", _parse_bool),
     "predict.gene_sets": ("gene_sets", str),
     "train.split_fraction": ("split_fraction", float),
     "train.patience": ("patience", int),
@@ -222,15 +219,3 @@ def load_config_file(path, cfg: RunConfig | None = None) -> RunConfig:
             except ConfigError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return cfg
-
-
-def write_config_file(cfg: RunConfig, path):
-    """Dump every key (the round-trip partner of load_config_file)."""
-    by_attr = {attr: key for key, (attr, _) in CONFIG_KEYS.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        for f in fields(cfg):
-            key = by_attr[f.name]
-            value = getattr(cfg, f.name)
-            if value is None:
-                value = "default"
-            fh.write(f"{key} = {value}\n")

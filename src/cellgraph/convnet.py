@@ -54,10 +54,9 @@ class ConvConfig:
 
 @dataclass
 class LayerTrace:
-    """Per-layer cell/feature state handles recorded during a forward pass."""
+    """Per-layer cell state handles recorded during a forward pass."""
 
     cell_states: list[int] = field(default_factory=list)
-    feature_states: list[int] = field(default_factory=list)
 
 
 def init_params(g: CellFeatureGraph, x: NodeEmbeddings, cfg: ConvConfig,
@@ -140,7 +139,7 @@ def conv_layer(tape: Tape, operators, h_cell: int, h_feat: int, layer: int,
     """One coupled layer: bidirectional messages plus residual updates.
 
     operators is the (cells_from_features, features_from_cells,
-    features_from_features) triple from CellFeatureGraph.operators().
+    features_from_features) triple from CellFeatureGraph.operators(mode).
     """
     cells_from_features, features_from_cells, features_from_features = operators
     m_uv = _message(tape, features_from_cells, h_cell, layer, "uv", cfg, prefix)
@@ -177,19 +176,19 @@ def readout(tape: Tape, trace: LayerTrace, prefix: str = "") -> int:
 
 
 def decoupled_propagate(g: CellFeatureGraph, x_cell: np.ndarray,
-                        n_steps: int) -> list[np.ndarray]:
+                        n_steps: int, mode: EdgeScaling) -> list[np.ndarray]:
     """Parameter-free alternating propagation; one entry per round trip.
 
     Cell states go to the feature side through the transposed operator and
-    back. POST_NORM standardizes each hop's aggregation result in place of
-    edge normalization. Pure function of (graph, x), so it is precomputed
+    back, with edges scaled by mode. POST_NORM standardizes each hop's aggregation result in place of
+    edge normalization. Pure function of (graph, x, mode), so it is precomputed
     once per training run.
     """
     x = np.asarray(x_cell, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != g.n_cells:
         raise ValueError(f"x_cell must be (n_cells, f), got {x.shape}")
-    cells_from_features, features_from_cells, _ = g.operators()
-    post = g.normalization_mode is EdgeScaling.POST_NORM
+    cells_from_features, features_from_cells, _ = g.operators(mode)
+    post = mode is EdgeScaling.POST_NORM
     states = []
     current = x
     for _ in range(n_steps):
@@ -227,8 +226,9 @@ def decoupled_forward(tape: Tape, states: list[np.ndarray], cfg: ConvConfig,
 
 def forward_with_trace(tape: Tape, g: CellFeatureGraph, x: NodeEmbeddings,
                        cfg: ConvConfig, prefix: str = ""):
-    """Coupled forward pass; returns (cell representation handle, trace)."""
-    operators = g.operators()
+    """Coupled forward pass with edges scaled by cfg.aggregation_norm;
+    returns (cell representation handle, trace)."""
+    operators = g.operators(cfg.aggregation_norm)
     h_cell, h_feat = input_transform(tape, x, prefix)
     h0_cell, h0_feat = h_cell, h_feat
     if cfg.dropout_rate > 0:
@@ -239,7 +239,6 @@ def forward_with_trace(tape: Tape, g: CellFeatureGraph, x: NodeEmbeddings,
         h_cell, h_feat = conv_layer(tape, operators, h_cell, h_feat, layer,
                                     cfg, h0_cell, h0_feat, prefix)
         trace.cell_states.append(h_cell)
-        trace.feature_states.append(h_feat)
     return readout(tape, trace, prefix), trace
 
 

@@ -61,9 +61,6 @@ def _op_checks(seed: int) -> dict[str, float]:
     check("relu",
           lambda t: t.mse(t.relu(t.param("x")), target),
           {"x": _away_from_zero(rng, (n, d))})
-    check("softmax_rows",
-          lambda t: t.mse(t.softmax_rows(t.param("x")), target),
-          {"x": rng.standard_normal((n, d))})
     gn_target = rng.standard_normal((n, 6))  # group size 3, never degenerate
     check("group_norm",
           lambda t: t.mse(t.group_norm(t.param("x"), t.param("g"),
@@ -87,14 +84,9 @@ def _op_checks(seed: int) -> dict[str, float]:
                                        t.param("w"), tied=True), target),
           {"a": rng.standard_normal((n, d)), "b": rng.standard_normal((n, d)),
            "w": np.array([0.4])})
-    cat_target = rng.standard_normal((n, 2 * d))
     check("exp_scale",
           lambda t: t.mse(t.exp_scale(t.param("x"), t.param("s")), target),
           {"x": rng.standard_normal((n, d)), "s": rng.uniform(-1, 1, (1, 1))})
-    check("concat",
-          lambda t: t.mse(t.concat([t.param("a"), t.param("b")], axis=1),
-                          cat_target),
-          {"a": rng.standard_normal((n, d)), "b": rng.standard_normal((n, d))})
     # a permuted strict subset of the rows, as matching gathers its pairs
     rows = rng.permutation(n + 1)[:n]
     check("take_rows",
@@ -152,7 +144,6 @@ def _toy_graph(seed: int) -> CellFeatureGraph:
     dense[0, 0] = 1.0  # keep every node touched
     dense[:, dense.sum(axis=0) == 0] = 0.5
     g = build_bipartite(SparseMatrix.from_dense(dense))
-    g.normalization_mode = EdgeScaling.POST_NORM
     g.ff_i = np.array([0, 1], dtype=np.int64)
     g.ff_j = np.array([2, 3], dtype=np.int64)
     g.ff_weights = np.array([0.7, 0.4])

@@ -1,8 +1,11 @@
 """Cell-feature bipartite graph construction and initial node embeddings.
 
-Cells and measured features are the two node sets; an edge carries the
-measured value. Pathway (gene-set) augmentation adds feature-feature edges
-weighted by column cosine similarity.
+The graph is the modality matrix itself: cells (rows) and measured features
+(columns) are the two node sets, and each stored entry is an edge weighted
+by the measured value. Pathway (gene-set) augmentation adds feature-feature
+edges weighted by column cosine similarity. How edge weights enter the
+aggregation (`EdgeScaling`) is not a property of the graph: the network's
+config chooses it per call.
 """
 
 from __future__ import annotations
@@ -40,66 +43,55 @@ class EdgeScaling(Enum):
 class CellFeatureGraph:
     """Bipartite cell-feature graph, optionally with feature-feature edges.
 
-    cell_feature_* arrays hold one entry per edge (cell index, feature
-    index, weight). feature_feature_* hold each undirected feature pair once
-    with i < j. Instances are immutable in practice; mutating helpers return
-    new graphs.
+    matrix is the n_cells x n_features CSR modality matrix; each stored
+    entry is one cell-feature edge. ff_* hold each undirected feature pair
+    once with i < j. Instances are immutable in practice; mutating helpers
+    return new graphs.
     """
 
-    n_cells: int
-    n_features: int
-    cf_cells: np.ndarray
-    cf_features: np.ndarray
-    cf_weights: np.ndarray
+    matrix: SparseMatrix
     ff_i: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     ff_j: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     ff_weights: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    normalization_mode: EdgeScaling = EdgeScaling.SYMMETRIC
     _operator_cache: dict = field(default_factory=dict, repr=False,
                                   compare=False)
 
-    def __post_init__(self):
-        self.cf_cells = np.asarray(self.cf_cells, dtype=np.int64)
-        self.cf_features = np.asarray(self.cf_features, dtype=np.int64)
-        self.cf_weights = np.asarray(self.cf_weights, dtype=np.float64)
-        if len(self.cf_cells) and (
-            self.cf_cells.max() >= self.n_cells
-            or self.cf_features.max() >= self.n_features
-        ):
-            raise ValueError("edge endpoint out of range")
+    @property
+    def n_cells(self) -> int:
+        return self.matrix.n_rows
 
     @property
-    def n_edges(self) -> int:
-        return len(self.cf_weights)
+    def n_features(self) -> int:
+        return self.matrix.n_cols
 
     @property
     def has_pathways(self) -> bool:
         return len(self.ff_weights) > 0
 
-    def scaled_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cell-feature, feature-feature) weights under normalization_mode.
+    def scaled_weights(self, mode: EdgeScaling
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """(cell-feature, feature-feature) weights under the scaling mode.
 
+        The cell-feature weights follow the matrix's stored order.
         SYMMETRIC normalizes over the whole adjacency (both blocks share the
         degree sums, matching the block matrix view); MIN_MAX scales both
         blocks jointly onto [0, 1]; POST_NORM returns the raw weights.
         """
-        mode = self.normalization_mode
+        cf = self.matrix.values
         if mode is EdgeScaling.POST_NORM:
-            return self.cf_weights.copy(), self.ff_weights.copy()
+            return cf.copy(), self.ff_weights.copy()
         if mode is EdgeScaling.MIN_MAX:
-            both = np.concatenate([self.cf_weights, self.ff_weights])
-            scaled = min_max_scale(both)
-            return scaled[: self.n_edges], scaled[self.n_edges:]
+            scaled = min_max_scale(np.concatenate([cf, self.ff_weights]))
+            return scaled[: len(cf)], scaled[len(cf):]
         # SYMMETRIC: features live at ids [n_cells, n_cells + n_features)
-        a = np.concatenate([self.cf_cells, self.n_cells + self.ff_i])
-        b = np.concatenate(
-            [self.n_cells + self.cf_features, self.n_cells + self.ff_j]
-        )
-        w = np.concatenate([self.cf_weights, self.ff_weights])
+        a = np.concatenate([self.matrix.row_indices(), self.n_cells + self.ff_i])
+        b = np.concatenate([self.n_cells + self.matrix.col_indices,
+                            self.n_cells + self.ff_j])
+        w = np.concatenate([cf, self.ff_weights])
         norm = symmetric_edge_normalize(a, b, w, self.n_cells + self.n_features)
-        return norm[: self.n_edges], norm[self.n_edges:]
+        return norm[: len(cf)], norm[len(cf):]
 
-    def operators(self):
+    def operators(self, mode: EdgeScaling):
         """Sparse operators for message passing under the scaling mode.
 
         Returns (cells_from_features, features_from_cells, features_from_features)
@@ -107,13 +99,10 @@ class CellFeatureGraph:
         without pathway edges). The feature-feature operator is symmetric.
         Cached per scaling mode; training reuses them every step.
         """
-        if self.normalization_mode in self._operator_cache:
-            return self._operator_cache[self.normalization_mode]
-        cf_w, ff_w = self.scaled_weights()
-        cells_from_features = SparseMatrix.from_coo(
-            self.n_cells, self.n_features, self.cf_cells, self.cf_features, cf_w,
-            sum_duplicates=False,
-        )
+        if mode in self._operator_cache:
+            return self._operator_cache[mode]
+        cf_w, ff_w = self.scaled_weights(mode)
+        cells_from_features = self.matrix.with_values(cf_w)
         features_from_cells = cells_from_features.transpose()
         features_from_features = None
         if self.has_pathways:
@@ -127,15 +116,8 @@ class CellFeatureGraph:
             )
         triple = (cells_from_features, features_from_cells,
                   features_from_features)
-        self._operator_cache[self.normalization_mode] = triple
+        self._operator_cache[mode] = triple
         return triple
-
-    def to_modality_matrix(self) -> SparseMatrix:
-        """Reassemble the cell x feature matrix from the raw edges."""
-        return SparseMatrix.from_coo(
-            self.n_cells, self.n_features, self.cf_cells, self.cf_features,
-            self.cf_weights, sum_duplicates=False,
-        )
 
 
 @dataclass
@@ -170,26 +152,19 @@ class NodeEmbeddings:
 
 
 def build_bipartite(m: SparseMatrix) -> CellFeatureGraph:
-    """One weighted edge per nonzero entry of the modality matrix."""
+    """The graph over m: one weighted edge per stored entry."""
     if m.nnz == 0:
         warnings.warn("modality matrix has no nonzero entries; graph is edgeless")
-    return CellFeatureGraph(
-        n_cells=m.n_rows,
-        n_features=m.n_cols,
-        cf_cells=m.row_indices(),
-        cf_features=m.col_indices.copy(),
-        cf_weights=m.values.copy(),
-    )
+    return CellFeatureGraph(m)
 
 
-def augment_with_pathways(
-    g: CellFeatureGraph, sets: GeneSetCollection, m: SparseMatrix
-) -> CellFeatureGraph:
+def augment_with_pathways(g: CellFeatureGraph,
+                          sets: GeneSetCollection) -> CellFeatureGraph:
     """Add feature-feature edges for every within-set pair.
 
-    Weight is the cosine similarity of the two feature columns in m; pairs
-    with non-positive cosine are dropped, pairs shared by several sets keep
-    one edge. Cell-feature edges are untouched.
+    Weight is the cosine similarity of the two feature columns of the
+    graph's matrix; pairs with non-positive cosine are dropped, pairs shared
+    by several sets keep one edge. Cell-feature edges are untouched.
     """
     sets.validate(g.n_features)
     pairs = set()
@@ -200,21 +175,16 @@ def augment_with_pathways(
                 pairs.add((uniq[a], uniq[b]))
     pairs = sorted(pairs)
     ii, jj, ww = [], [], []
-    for (i, j), w in zip(pairs, cosine_similarity_columns(m, pairs)):
+    for (i, j), w in zip(pairs, cosine_similarity_columns(g.matrix, pairs)):
         if w > 0:
             ii.append(i)
             jj.append(j)
             ww.append(w)
     return CellFeatureGraph(
-        n_cells=g.n_cells,
-        n_features=g.n_features,
-        cf_cells=g.cf_cells,
-        cf_features=g.cf_features,
-        cf_weights=g.cf_weights,
+        g.matrix,
         ff_i=np.asarray(ii, dtype=np.int64),
         ff_j=np.asarray(jj, dtype=np.int64),
         ff_weights=np.asarray(ww, dtype=np.float64),
-        normalization_mode=g.normalization_mode,
     )
 
 

@@ -115,11 +115,6 @@ class SparseMatrix:
         offsets = np.cumsum(offsets)
         return cls(n_rows, n_cols, offsets, cols, vals)
 
-    @classmethod
-    def identity(cls, n) -> "SparseMatrix":
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
     # -- views -------------------------------------------------------------
 
     @property

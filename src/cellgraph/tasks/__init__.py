@@ -10,9 +10,8 @@ from .matching import (MatcherConfig, MatcherModel, MatchOutput,
                        match_scores, matching_losses, reduce_modality,
                        register_aux_params, register_logit_scale,
                        score_probabilities, train_matcher)
-from .prediction import (PredictionModel, mean_predictor_rmse,
-                         predict_from_matrix, rmse_loss, svd_linear_baseline,
-                         train_prediction)
+from .prediction import (PredictionModel, mean_predictor_rmse, rmse_loss,
+                         svd_linear_baseline, train_prediction)
 
 __all__ = [
     "EpochRecord", "TrainProtocol", "run_training", "split_cells",
@@ -23,6 +22,6 @@ __all__ = [
     "logit_scale", "match_inference", "match_scores", "matching_losses",
     "reduce_modality", "register_aux_params", "register_logit_scale",
     "score_probabilities", "train_matcher",
-    "PredictionModel", "mean_predictor_rmse", "predict_from_matrix",
-    "rmse_loss", "svd_linear_baseline", "train_prediction",
+    "PredictionModel", "mean_predictor_rmse", "rmse_loss",
+    "svd_linear_baseline", "train_prediction",
 ]

@@ -121,8 +121,8 @@ def train_joint_embedding(m1: SparseMatrix, m2: SparseMatrix, cell_types,
         lsi_embedding(m2, rank, protocol.seed + 1),
     ])
     g = build_bipartite(SparseMatrix.from_dense(x))
-    g.normalization_mode = cfg.conv.aggregation_norm
-    states = [x] + decoupled_propagate(g, x, cfg.conv.n_layers)
+    states = [x] + decoupled_propagate(g, x, cfg.conv.n_layers,
+                                       cfg.conv.aggregation_norm)
 
     store = ParamStore()
     init_decoupled_params(x.shape[1], cfg.conv, store, protocol.seed)

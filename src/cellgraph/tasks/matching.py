@@ -162,12 +162,6 @@ class MatchOutput:
     unmatched_left: list[int] = field(default_factory=list)
     unmatched_right: list[int] = field(default_factory=list)
 
-    def assignment_matrix(self) -> np.ndarray:
-        out = np.zeros_like(self.row_prob)
-        for i, j in self.assignment:
-            out[i, j] = 1.0
-        return out
-
 
 def match_inference(h1, h2, batch_labels_1, batch_labels_2,
                     percentile: float = 95.0,
@@ -292,10 +286,9 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
     x2 = reduce_modality(m2, cfg.reduce_rank, protocol.seed + 1)
     g1 = build_bipartite(SparseMatrix.from_dense(x1))
     g2 = build_bipartite(SparseMatrix.from_dense(x2))
-    g1.normalization_mode = cfg.conv.aggregation_norm
-    g2.normalization_mode = cfg.conv.aggregation_norm
-    states1 = [x1] + decoupled_propagate(g1, x1, cfg.conv.n_layers)
-    states2 = [x2] + decoupled_propagate(g2, x2, cfg.conv.n_layers)
+    mode = cfg.conv.aggregation_norm
+    states1 = [x1] + decoupled_propagate(g1, x1, cfg.conv.n_layers, mode)
+    states2 = [x2] + decoupled_propagate(g2, x2, cfg.conv.n_layers, mode)
 
     store = ParamStore()
     init_decoupled_params(x1.shape[1], cfg.conv, store, protocol.seed,

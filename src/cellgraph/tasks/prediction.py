@@ -9,7 +9,7 @@ import numpy as np
 from ..autodiff import ParamStore, Tape, glorot_uniform
 from ..convnet import ConvConfig, forward, init_params
 from ..graph import (CellFeatureGraph, GeneSetCollection, NodeEmbeddings,
-                     augment_with_pathways, build_bipartite, init_embeddings)
+                     augment_with_pathways, init_embeddings)
 from ..linalg import SparseMatrix, truncated_svd
 from .common import EpochRecord, TrainProtocol, run_training, split_cells
 
@@ -26,15 +26,17 @@ def rmse_loss(pred, target) -> float:
 
 
 def _edges_restricted_to(g: CellFeatureGraph, cells) -> CellFeatureGraph:
-    """Same node sets, but only edges incident to the given cells."""
-    keep = np.isin(g.cf_cells, cells)
-    return CellFeatureGraph(
-        n_cells=g.n_cells, n_features=g.n_features,
-        cf_cells=g.cf_cells[keep], cf_features=g.cf_features[keep],
-        cf_weights=g.cf_weights[keep],
-        ff_i=g.ff_i, ff_j=g.ff_j, ff_weights=g.ff_weights,
-        normalization_mode=g.normalization_mode,
-    )
+    """Same node sets, but only edges incident to the given cells: the
+    matrix with every other row emptied."""
+    m = g.matrix
+    keep_row = np.zeros(m.n_rows, dtype=bool)
+    keep_row[cells] = True
+    lengths = np.where(keep_row, np.diff(m.row_offsets), 0)
+    keep = keep_row[m.row_indices()]
+    restricted = SparseMatrix(m.n_rows, m.n_cols,
+                              np.concatenate(([0], np.cumsum(lengths))),
+                              m.col_indices[keep], m.values[keep])
+    return CellFeatureGraph(restricted, g.ff_i, g.ff_j, g.ff_weights)
 
 
 @dataclass
@@ -61,8 +63,8 @@ class PredictionModel:
 
 def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
                      protocol: TrainProtocol, transductive: bool = True,
-                     gene_sets: GeneSetCollection | None = None,
-                     source: SparseMatrix | None = None) -> PredictionModel:
+                     gene_sets: GeneSetCollection | None = None
+                     ) -> PredictionModel:
     """Train the prediction head; returns the best-validation model.
 
     Cells are split per the protocol; the loss is full-batch RMSE on the
@@ -74,9 +76,7 @@ def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
     if target.shape[0] != g.n_cells:
         raise ValueError("target rows must match the cell count")
     if gene_sets is not None:
-        if source is None:
-            source = g.to_modality_matrix()
-        g = augment_with_pathways(g, gene_sets, source)
+        g = augment_with_pathways(g, gene_sets)
     store = ParamStore()
     x = init_embeddings(g, "auto", table_dim=cfg.hidden_dim, store=store,
                         seed=protocol.seed)
@@ -109,13 +109,6 @@ def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
     )
     return PredictionModel(store, cfg, g, x, best_val, best_epoch, history,
                            train_idx, val_idx)
-
-
-def predict_from_matrix(m: SparseMatrix, target, cfg: ConvConfig,
-                        protocol: TrainProtocol, **kwargs) -> PredictionModel:
-    """Convenience wrapper: build the bipartite graph, then train."""
-    return train_prediction(build_bipartite(m), target, cfg, protocol,
-                            source=m, **kwargs)
 
 
 def svd_linear_baseline(m_source: SparseMatrix, target, train_idx, val_idx,

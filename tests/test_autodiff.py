@@ -21,11 +21,6 @@ class TestForwardOps:
         out = t.relu(t.constant([[-1.0, 2.0]]))
         assert np.array_equal(t.value(out), [[0.0, 2.0]])
 
-    def test_softmax_symmetry(self):
-        t = Tape()
-        out = t.softmax_rows(t.constant([[0.0, 0.0]]))
-        assert np.allclose(t.value(out), [[0.5, 0.5]])
-
     def test_group_norm_single_group_row(self):
         store = store_with(g=np.ones((1, 2)), b=np.zeros((1, 2)))
         t = Tape(store)
@@ -108,14 +103,6 @@ class TestBackward:
         t.backward(t.mse(pred, y))
         expected = 2 * (w @ x - y) @ x.T / y.size
         assert np.allclose(store.grad("w"), expected, atol=1e-12)
-
-    def test_softmax_backward_rows_orthogonal_to_ones(self):
-        rng = np.random.default_rng(2)
-        store = store_with(x=rng.standard_normal((4, 5)))
-        t = Tape(store)
-        out = t.softmax_rows(t.param("x"))
-        t.backward(t.mse(out, rng.standard_normal((4, 5))))
-        assert np.abs(store.grad("x").sum(axis=1)).max() < 1e-10
 
     def test_non_scalar_loss_rejected(self):
         store = store_with(x=np.ones((2, 2)))

@@ -11,10 +11,11 @@ from cellgraph.graph import EdgeScaling, build_bipartite, init_embeddings
 from cellgraph.linalg import SparseMatrix, spmm, standardize_rows
 
 
-def toy_graph(dense, mode=EdgeScaling.SYMMETRIC):
-    g = build_bipartite(SparseMatrix.from_dense(np.asarray(dense, float)))
-    g.normalization_mode = mode
-    return g
+SYM = EdgeScaling.SYMMETRIC
+
+
+def toy_graph(dense):
+    return build_bipartite(SparseMatrix.from_dense(np.asarray(dense, float)))
 
 
 def relu(x):
@@ -61,7 +62,6 @@ class TestConvLayer:
     def test_empty_graph_pure_residual_with_zero_bias(self):
         with pytest.warns(UserWarning, match="edgeless"):
             g = build_bipartite(SparseMatrix.from_coo(2, 2, [], [], []))
-        g.normalization_mode = EdgeScaling.POST_NORM
         cfg = ConvConfig(n_layers=1, hidden_dim=3, dropout_rate=0.0,
                          aggregation_norm=EdgeScaling.POST_NORM,
                          residual_mode="skip")
@@ -72,8 +72,9 @@ class TestConvLayer:
         rng = np.random.default_rng(1)
         h_cell = t.constant(rng.standard_normal((2, 3)))
         h_feat = t.constant(rng.standard_normal((2, 3)))
-        new_cell, new_feat = conv_layer(t, g.operators(), h_cell, h_feat, 1,
-                                        cfg, h_cell, h_feat)
+        new_cell, new_feat = conv_layer(
+            t, g.operators(EdgeScaling.POST_NORM), h_cell, h_feat, 1, cfg,
+            h_cell, h_feat)
         # messages are group_norm(relu(0 + b)) = group_norm(0) = beta = 0
         assert np.allclose(t.value(new_cell), t.value(h_cell))
         assert np.allclose(t.value(new_feat), t.value(h_feat))
@@ -97,14 +98,14 @@ class TestConvLayer:
         t = Tape(store)
         h_cell = t.constant(rng.standard_normal((3, 3)))
         h_feat = t.constant(rng.standard_normal((2, 3)))
-        _, feat_a = conv_layer(t, g.operators(), h_cell, h_feat, 1, cfg,
+        _, feat_a = conv_layer(t, g.operators(SYM), h_cell, h_feat, 1, cfg,
                                h_cell, h_feat)
         store.entries["l1.uv.w"].value[:] = 0.0
         store.entries["l1.uv.b"].value[:] = 7.7
         t2 = Tape(store)
         h_cell2 = t2.constant(t.value(h_cell))
         h_feat2 = t2.constant(t.value(h_feat))
-        _, feat_b = conv_layer(t2, g.operators(), h_cell2, h_feat2, 1, cfg,
+        _, feat_b = conv_layer(t2, g.operators(SYM), h_cell2, h_feat2, 1, cfg,
                                h_cell2, h_feat2)
         assert np.allclose(t.value(feat_a), t2.value(feat_b))
 
@@ -122,7 +123,7 @@ class TestConvLayer:
         hc = rng.standard_normal((3, 2))
         hf = rng.standard_normal((2, 2))
         t = Tape(store)
-        new_cell, new_feat = conv_layer(t, g.operators(), t.constant(hc),
+        new_cell, new_feat = conv_layer(t, g.operators(SYM), t.constant(hc),
                                         t.constant(hf), 1, cfg,
                                         t.constant(hc), t.constant(hf))
         deg_c = dense.sum(axis=1)
@@ -147,7 +148,7 @@ class TestConvLayer:
         h_cell = t.constant(np.ones((1, 2)))
         h_feat = t.constant(np.ones((2, 2)))
         with pytest.raises(ValueError, match="no feature-feature edges"):
-            conv_layer(t, g.operators(), h_cell, h_feat, 1, cfg, h_cell,
+            conv_layer(t, g.operators(SYM), h_cell, h_feat, 1, cfg, h_cell,
                        h_feat)
 
     def test_initial_residual_uses_first_layer_state(self):
@@ -162,7 +163,7 @@ class TestConvLayer:
         h0c, h0f = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         hc, hf = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         t = Tape(store)
-        new_cell, _ = conv_layer(t, g.operators(), t.constant(hc),
+        new_cell, _ = conv_layer(t, g.operators(SYM), t.constant(hc),
                                  t.constant(hf), 1, cfg, t.constant(h0c),
                                  t.constant(h0f))
         norm = dense / 2.0
@@ -228,20 +229,20 @@ class TestDecoupledPropagate:
     def test_disjoint_pairs_reflect_state(self):
         g = toy_graph(np.eye(4))
         x = np.random.default_rng(12).standard_normal((4, 3))
-        states = decoupled_propagate(g, x, 2)
+        states = decoupled_propagate(g, x, 2, SYM)
         assert np.allclose(states[0], x)
         assert np.allclose(states[1], x)
 
     def test_zero_steps_empty_list(self):
         g = toy_graph(np.eye(2))
-        assert decoupled_propagate(g, np.ones((2, 1)), 0) == []
+        assert decoupled_propagate(g, np.ones((2, 1)), 0, SYM) == []
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(13)
         dense = np.abs(rng.standard_normal((6, 4))) + 0.05
         g = toy_graph(dense)
         x = rng.standard_normal((6, 3))
-        states = decoupled_propagate(g, x, 1)
+        states = decoupled_propagate(g, x, 1, SYM)
         deg_c = dense.sum(axis=1)
         deg_f = dense.sum(axis=0)
         norm = dense / np.sqrt(np.outer(deg_c, deg_f))
@@ -250,9 +251,9 @@ class TestDecoupledPropagate:
     def test_post_norm_standardizes_each_hop(self):
         rng = np.random.default_rng(14)
         dense = rng.standard_normal((5, 4))
-        g = toy_graph(dense, mode=EdgeScaling.POST_NORM)
+        g = toy_graph(dense)
         x = rng.standard_normal((5, 3))
-        states = decoupled_propagate(g, x, 1)
+        states = decoupled_propagate(g, x, 1, EdgeScaling.POST_NORM)
         feat = standardize_rows(dense.T @ x)
         expected = standardize_rows(dense @ feat)
         assert np.allclose(states[0], expected)
@@ -302,12 +303,44 @@ class TestForward:
         hc, hf = input_transform(t2, x)
         states = []
         for layer in (1, 2):
-            hc, hf = conv_layer(t2, g.operators(), hc, hf, layer, cfg,
+            hc, hf = conv_layer(t2, g.operators(SYM), hc, hf, layer, cfg,
                                 hc, hf)
             states.append(hc)
         tr = LayerTrace(cell_states=states)
         manual = readout(t2, tr)
         assert np.allclose(t.value(h_hat), t2.value(manual))
+
+    def test_post_norm_config_multiplies_raw_weights(self):
+        # the config alone owns the scaling mode: on a fresh graph, a
+        # POST_NORM network aggregates over the raw measured values
+        dense = np.array([[2.0, 0.0, 1.0], [0.0, 3.0, 0.5],
+                          [4.0, 1.0, 0.0], [0.0, 0.0, 2.5]])
+        g = build_bipartite(SparseMatrix.from_dense(dense))
+        cfg = ConvConfig(n_layers=1, hidden_dim=4, dropout_rate=0.0,
+                         aggregation_norm=EdgeScaling.POST_NORM,
+                         residual_mode="initial")
+        store = ParamStore()
+        x = init_embeddings(g, "one_hot")
+        init_params(g, x, cfg, store, seed=25)
+        rng = np.random.default_rng(26)
+        for name in store.names():
+            store.entries[name].value[:] = rng.uniform(
+                0.2, 1.0, store.entries[name].value.shape)
+        v = store.value
+
+        def group_norm(z, gamma, beta):
+            mu = z.mean(axis=1, keepdims=True)
+            var = z.var(axis=1, keepdims=True)
+            return (z - mu) / np.sqrt(var + 1e-5) * gamma + beta
+
+        h0_cell = relu(x.cell_embed @ v("in.cell.w") + v("in.cell.b"))
+        h0_feat = relu(v("in.feat.w") + v("in.feat.b"))
+        m_vu = group_norm(relu(dense @ h0_feat @ v("l1.vu.w") + v("l1.vu.b")),
+                          v("l1.vu.gn.g"), v("l1.vu.gn.b"))
+        expected = v("readout.w")[0] * (h0_cell + m_vu)
+        t = Tape(store)
+        assert np.allclose(t.value(forward(t, g, x, cfg)), expected,
+                           atol=1e-12)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(21)

@@ -8,7 +8,7 @@ import pytest
 
 from cellgraph.cli import cli_dispatch
 from cellgraph.config import (ConfigError, RunConfig, apply_setting,
-                              load_config_file, write_config_file)
+                              load_config_file)
 from cellgraph.data import (Dataset, generate_synthetic, load_dataset,
                             load_gene_sets, load_labels, load_real_array,
                             load_sparse_matrix, read_kv, save_dataset,
@@ -241,15 +241,19 @@ class TestConfig:
             cfg.validate()
 
     def test_round_trip(self, tmp_path):
-        cfg = RunConfig()
-        apply_setting(cfg, "conv.alpha", "learnable")
-        apply_setting(cfg, "match.percentile", "90")
         path = tmp_path / "run.cfg"
-        write_config_file(cfg, path)
+        path.write_text("# a hand-written run\n"
+                        "conv.alpha = learnable\n"
+                        "match.percentile = 90  # trailing comment\n"
+                        "\n"
+                        "conv.n_layers = default\n"
+                        "train.lr = default\n", encoding="utf-8")
         loaded = load_config_file(path)
         assert loaded.alpha == "learnable"
         assert loaded.percentile == 90.0
-        assert loaded.n_layers is None
+        assert loaded.n_layers is None and loaded.lr is None
+        assert loaded == dataclasses.replace(RunConfig(), alpha="learnable",
+                                             percentile=90.0)
 
     def test_task_layer_defaults(self):
         cfg = RunConfig()

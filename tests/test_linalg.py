@@ -62,7 +62,7 @@ class TestSparseMatrix:
 class TestSpmm:
     def test_identity(self):
         b = np.array([[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(spmm(SparseMatrix.identity(2), b), b)
+        assert np.array_equal(spmm(SparseMatrix.from_dense(np.eye(2)), b), b)
 
     def test_dot_product(self):
         a = SparseMatrix.from_dense(np.array([[1.0, 2.0, 3.0]]))
@@ -76,7 +76,7 @@ class TestSpmm:
         assert np.allclose(spmm(a, b), dense @ b, atol=1e-12)
 
     def test_dimension_mismatch_reports_shapes(self):
-        a = SparseMatrix.identity(2)
+        a = SparseMatrix.from_dense(np.eye(2))
         with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 1\)"):
             spmm(a, np.ones((3, 1)))
 
@@ -281,7 +281,7 @@ class TestCosineSimilarityColumns:
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            cosine_similarity_columns(SparseMatrix.identity(2), [(0, 5)])
+            cosine_similarity_columns(SparseMatrix.from_dense(np.eye(2)), [(0, 5)])
 
 
 class TestTfidf:
@@ -360,7 +360,7 @@ class TestTruncatedSvd:
         assert np.array_equal(u1, u2) and np.array_equal(s1, s2)
 
     def test_invalid_rank_rejected(self):
-        m = SparseMatrix.identity(4)
+        m = SparseMatrix.from_dense(np.eye(4))
         with pytest.raises(ValueError):
             truncated_svd(m, 0, seed=0)
         with pytest.raises(ValueError):

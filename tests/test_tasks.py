@@ -15,6 +15,7 @@ from cellgraph.tasks import (EmbedConfig, MatcherConfig, TrainProtocol,
                              score_probabilities, split_cells,
                              train_joint_embedding, train_prediction)
 from cellgraph.tasks.embedding import EMBED_LR
+from cellgraph.tasks.prediction import _edges_restricted_to
 from cellgraph.metrics import nmi_cluster_label
 
 
@@ -233,7 +234,6 @@ class TestTrainPrediction:
     def test_beats_mean_predictor_on_linear_signal(self):
         m, target = self._linear_dataset()
         g = build_bipartite(m)
-        g.normalization_mode = EdgeScaling.POST_NORM
         cfg = ConvConfig(n_layers=2, hidden_dim=16, dropout_rate=0.0,
                          aggregation_norm=EdgeScaling.POST_NORM)
         protocol = TrainProtocol(patience_epochs=40, max_epochs=300, seed=0)
@@ -245,7 +245,6 @@ class TestTrainPrediction:
         m, _ = self._linear_dataset(n=60)
         target = np.zeros((60, 2))
         g = build_bipartite(m)
-        g.normalization_mode = EdgeScaling.POST_NORM
         cfg = ConvConfig(n_layers=1, hidden_dim=8, dropout_rate=0.0,
                          aggregation_norm=EdgeScaling.POST_NORM)
         # lr 0 freezes the parameters, so validation never improves
@@ -260,7 +259,6 @@ class TestTrainPrediction:
 
         def run():
             g = build_bipartite(m)
-            g.normalization_mode = EdgeScaling.POST_NORM
             cfg = ConvConfig(n_layers=1, hidden_dim=8, dropout_rate=0.3,
                              aggregation_norm=EdgeScaling.POST_NORM)
             protocol = TrainProtocol(patience_epochs=10, max_epochs=40,
@@ -283,14 +281,12 @@ class TestTrainPrediction:
 
         m, target = self._linear_dataset(n=60)
         g = build_bipartite(m)
-        g.normalization_mode = EdgeScaling.POST_NORM
         sets = GeneSetCollection([("s1", [0, 1, 2]), ("s2", [2, 3])])
         cfg = ConvConfig(n_layers=2, hidden_dim=8, dropout_rate=0.0,
                          aggregation_norm=EdgeScaling.POST_NORM,
                          use_pathway_channel=True, alpha="learnable")
         protocol = TrainProtocol(patience_epochs=10, max_epochs=40, seed=0)
-        model = train_prediction(g, target, cfg, protocol, gene_sets=sets,
-                                 source=m)
+        model = train_prediction(g, target, cfg, protocol, gene_sets=sets)
         assert model.graph.has_pathways
         assert "alpha" in model.store
         assert np.isfinite(model.validation_rmse)
@@ -298,13 +294,21 @@ class TestTrainPrediction:
     def test_strict_inductive_mode(self):
         m, target = self._linear_dataset(n=80)
         g = build_bipartite(m)
-        g.normalization_mode = EdgeScaling.POST_NORM
         cfg = ConvConfig(n_layers=1, hidden_dim=8, dropout_rate=0.0,
                          aggregation_norm=EdgeScaling.POST_NORM)
         protocol = TrainProtocol(patience_epochs=15, max_epochs=80, seed=0)
         model = train_prediction(g, target, cfg, protocol,
                                  transductive=False)
         assert np.isfinite(model.validation_rmse)
+
+    def test_inductive_graph_keeps_only_training_rows(self):
+        m, _ = self._linear_dataset(n=30)
+        dense = m.to_dense()
+        cells = np.array([29, 0, 3, 17])
+        g = _edges_restricted_to(build_bipartite(m), cells)
+        expected = np.zeros_like(dense)
+        expected[cells] = dense[cells]
+        assert np.array_equal(g.matrix.to_dense(), expected)
 
 
 class TestJointEmbeddingLoss:
