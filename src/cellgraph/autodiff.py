@@ -96,6 +96,8 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int):
 # ---------------------------------------------------------------------------
 # tape
 
+GROUP_NORM_EPS = 1e-5  # added to each group's variance
+
 
 @dataclass
 class Node:
@@ -113,8 +115,8 @@ def _shape_error(kind, *shapes):
 class Tape:
     """Append-only record of one forward pass.
 
-    Confined to a single thread. `train` gates dropout; `rng` feeds it when
-    no per-op seed is given. One backward() per tape.
+    Confined to a single thread. `train` gates dropout and `rng` feeds it.
+    One backward() per tape.
     """
 
     def __init__(self, store: ParamStore | None = None, train: bool = True,
@@ -147,9 +149,6 @@ class Tape:
     def value(self, handle: int) -> np.ndarray:
         return self.nodes[handle].value
 
-    def _val(self, handle):
-        return self.nodes[handle].value
-
     def _derived(self, value, parents, vjp) -> int:
         needs = any(self.nodes[p].needs_grad for p in parents)
         return self._append(
@@ -160,7 +159,7 @@ class Tape:
     # -- ops -----------------------------------------------------------------
 
     def matmul(self, a: int, b: int, transpose_b: bool = False) -> int:
-        av, bv = self._val(a), self._val(b)
+        av, bv = self.value(a), self.value(b)
         bT = bv.T if transpose_b else bv
         if av.shape[1] != bT.shape[0]:
             raise _shape_error("matmul", av.shape, bv.shape)
@@ -174,7 +173,7 @@ class Tape:
         return self._derived(out, (a, b), vjp)
 
     def spmm_const(self, s: SparseMatrix, x: int) -> int:
-        xv = self._val(x)
+        xv = self.value(x)
         out = spmm(s, xv)  # raises on shape mismatch
         st = s.transpose()
 
@@ -184,7 +183,7 @@ class Tape:
         return self._derived(out, (x,), vjp)
 
     def add(self, a: int, b: int) -> int:
-        av, bv = self._val(a), self._val(b)
+        av, bv = self.value(a), self.value(b)
         if av.shape != bv.shape:
             # only row-vector bias broadcast is supported
             if not (bv.shape == (1, av.shape[1]) or av.shape == (1, bv.shape[1])):
@@ -199,7 +198,7 @@ class Tape:
         return self._derived(out, (a, b), vjp)
 
     def relu(self, x: int) -> int:
-        xv = self._val(x)
+        xv = self.value(x)
         mask = xv > 0
 
         def vjp(g):
@@ -207,10 +206,10 @@ class Tape:
 
         return self._derived(np.where(mask, xv, 0.0), (x,), vjp)
 
-    def group_norm(self, x: int, gamma: int, beta: int, n_groups: int = 1,
-                   eps: float = 1e-5) -> int:
-        xv = self._val(x)
-        gv, bv = self._val(gamma), self._val(beta)
+    def group_norm(self, x: int, gamma: int, beta: int,
+                   n_groups: int = 1) -> int:
+        xv = self.value(x)
+        gv, bv = self.value(gamma), self.value(beta)
         n, d = xv.shape
         if d % n_groups:
             raise ValueError(f"group_norm: {n_groups} groups do not divide dim {d}")
@@ -219,7 +218,7 @@ class Tape:
         grp = xv.reshape(n, n_groups, d // n_groups)
         mu = grp.mean(axis=2, keepdims=True)
         var = grp.var(axis=2, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + GROUP_NORM_EPS)
         xhat = ((grp - mu) * inv).reshape(n, d)
         out = xhat * gv + bv
 
@@ -236,7 +235,7 @@ class Tape:
         return self._derived(out, (x, gamma, beta), vjp)
 
     def l2_normalize_rows(self, x: int) -> int:
-        xv = self._val(x)
+        xv = self.value(x)
         norms = np.linalg.norm(xv, axis=1, keepdims=True)
         safe = np.where(norms > 0, norms, 1.0)
         y = np.where(norms > 0, xv / safe, 0.0)
@@ -248,14 +247,13 @@ class Tape:
 
         return self._derived(y, (x,), vjp)
 
-    def dropout(self, x: int, rate: float, seed: int | None = None) -> int:
+    def dropout(self, x: int, rate: float) -> int:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        xv = self._val(x)
+        xv = self.value(x)
         if rate == 0.0 or not self.train:
             return self._derived(xv.copy(), (x,), lambda g: (g,))
-        rng = self.rng if seed is None else np.random.default_rng(seed)
-        keep = rng.random(xv.shape) >= rate
+        keep = self.rng.random(xv.shape) >= rate
         scale = 1.0 / (1.0 - rate)
 
         def vjp(g):
@@ -269,12 +267,12 @@ class Tape:
         weights: a node handle (trainable) or a plain array (fixed). tied
         mixes exactly two tensors as w*A + (1-w)*B from a single scalar.
         """
-        vals = [self._val(t) for t in tensors]
+        vals = [self.value(t) for t in tensors]
         for v in vals[1:]:
             if v.shape != vals[0].shape:
                 raise _shape_error("scalar_mix", vals[0].shape, v.shape)
         w_handle = weights if isinstance(weights, (int, np.integer)) else None
-        wv = self._val(w_handle) if w_handle is not None else np.asarray(
+        wv = self.value(w_handle) if w_handle is not None else np.asarray(
             weights, dtype=np.float64
         )
         wv = wv.reshape(-1)
@@ -296,14 +294,14 @@ class Tape:
                     gw = np.array([[np.sum(g * (vals[0] - vals[1]))]])
                 else:
                     gw = np.array([[np.sum(g * v) for v in vals]])
-                grads.append(gw.reshape(self._val(w_handle).shape))
+                grads.append(gw.reshape(self.value(w_handle).shape))
             return tuple(grads)
 
         return self._derived(out, parents, vjp)
 
     def exp_scale(self, x: int, log_scale: int) -> int:
         """exp(s) * x for a 1 x 1 log-scale node s (a learned temperature)."""
-        xv, sv = self._val(x), self._val(log_scale)
+        xv, sv = self.value(x), self.value(log_scale)
         if sv.size != 1:
             raise _shape_error("exp_scale log scale", sv.shape, (1, 1))
         scale = float(np.exp(sv.reshape(-1)[0]))
@@ -317,7 +315,7 @@ class Tape:
     def take(self, x: int, indices, axis: int = 0) -> int:
         """Rows (axis=0) or columns (axis=1) of x in the order of indices;
         a repeated index gathers its slice again and sums its gradients."""
-        xv = self._val(x)
+        xv = self.value(x)
         idx = np.asarray(indices, dtype=np.int64)
         out = np.take(xv, idx, axis=axis)
         shape = xv.shape
@@ -331,7 +329,7 @@ class Tape:
         return self._derived(out, (x,), vjp)
 
     def mse(self, pred: int, target) -> int:
-        pv = self._val(pred)
+        pv = self.value(pred)
         tv = np.asarray(target, dtype=np.float64)
         if pv.shape != tv.shape:
             raise _shape_error("mse", pv.shape, tv.shape)
@@ -344,7 +342,7 @@ class Tape:
         return self._derived(out, (pred,), vjp)
 
     def rmse(self, pred: int, target) -> int:
-        pv = self._val(pred)
+        pv = self.value(pred)
         tv = np.asarray(target, dtype=np.float64)
         if pv.shape != tv.shape:
             raise _shape_error("rmse", pv.shape, tv.shape)
@@ -358,14 +356,13 @@ class Tape:
 
         return self._derived(np.asarray(val), (pred,), vjp)
 
-    def cross_entropy_rows(self, logits: int, labels, mask=None,
-                           reduction: str = "mean") -> int:
-        """-log softmax(logits)[r, labels[r]] over selected rows.
+    def cross_entropy_rows(self, logits: int, labels, mask=None) -> int:
+        """-log softmax(logits)[r, labels[r]], averaged over selected rows.
 
-        mask selects the rows that carry supervision; reduction is "mean"
-        or "sum" over them. With an empty selection the loss is 0.
+        mask selects the rows that carry supervision. With an empty
+        selection the loss is 0.
         """
-        lv = self._val(logits)
+        lv = self.value(logits)
         lab = np.asarray(labels, dtype=np.int64)
         if lab.shape != (lv.shape[0],):
             raise _shape_error("cross_entropy_rows labels", lab.shape, lv.shape)
@@ -383,7 +380,7 @@ class Tape:
                                  lambda g: (np.zeros_like(lv),))
         picked = logp[sel, lab[sel]]
         total = -picked.sum()
-        scale = 1.0 / n_sel if reduction == "mean" else 1.0
+        scale = 1.0 / n_sel
         p = np.exp(logp)
 
         def vjp(g):
@@ -396,7 +393,7 @@ class Tape:
 
     def l2_penalty(self, x: int) -> int:
         """Mean Euclidean norm of the rows."""
-        xv = self._val(x)
+        xv = self.value(x)
         norms = np.linalg.norm(xv, axis=1, keepdims=True)
         out = np.asarray(norms.mean())
         safe = np.where(norms > 0, norms, 1.0)
@@ -442,10 +439,10 @@ class Tape:
 # ---------------------------------------------------------------------------
 # optimizer
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-def adam_step(params: ParamStore, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8,
-              weight_decay: float = 0.0, step: int | None = None):
+
+def adam_step(params: ParamStore, lr: float, weight_decay: float = 0.0):
     """One Adam update with bias correction and decoupled weight decay.
 
     Parameters registered with decay=False skip the weight decay, and those
@@ -456,14 +453,15 @@ def adam_step(params: ParamStore, lr: float, beta1: float = 0.9,
     for name, e in params.entries.items():
         if not np.all(np.isfinite(e.grad)):
             raise NonFiniteGradient(f"non-finite gradient in parameter {name!r}")
-    t = params.step_count + 1 if step is None else step
+    t = params.step_count + 1
     for e in params.entries.values():
-        e.adam_m[:] = beta1 * e.adam_m + (1 - beta1) * e.grad
-        e.adam_v[:] = beta2 * e.adam_v + (1 - beta2) * e.grad * e.grad
-        m_hat = e.adam_m / (1 - beta1 ** t)
-        v_hat = e.adam_v / (1 - beta2 ** t)
+        e.adam_m[:] = ADAM_BETA1 * e.adam_m + (1 - ADAM_BETA1) * e.grad
+        e.adam_v[:] = (ADAM_BETA2 * e.adam_v
+                       + (1 - ADAM_BETA2) * e.grad * e.grad)
+        m_hat = e.adam_m / (1 - ADAM_BETA1 ** t)
+        v_hat = e.adam_v / (1 - ADAM_BETA2 ** t)
         decay = weight_decay * e.value if e.decay else 0.0
-        e.value -= lr * (m_hat / (np.sqrt(v_hat) + eps) + decay)
+        e.value -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + decay)
         if e.bounds is not None:
             np.clip(e.value, *e.bounds, out=e.value)
     params.step_count = t
@@ -480,14 +478,16 @@ def lr_decay(initial_lr: float, step: int, decay_rate: float,
 # ---------------------------------------------------------------------------
 # finite-difference verification
 
+FD_STEP = 1e-5  # central-difference step
 
-def finite_difference_check(build_loss, store: ParamStore, eps: float = 1e-5,
-                            param_names=None) -> float:
+
+def finite_difference_check(build_loss, store: ParamStore) -> float:
     """Max relative error between backward() and central differences.
 
     build_loss(tape) must record one forward pass and return the loss
-    handle; it is re-invoked for every probe, so it has to be deterministic
-    (fixed dropout seeds and the like).
+    handle; it is re-invoked for every probe, so it has to be deterministic.
+    Every probe's tape draws its dropout masks from a generator seeded
+    with 0, so each probe sees the same masks.
     """
     tape = Tape(store, train=True, rng=np.random.default_rng(0))
     loss = build_loss(tape)
@@ -500,18 +500,17 @@ def finite_difference_check(build_loss, store: ParamStore, eps: float = 1e-5,
         return float(np.asarray(t.value(build_loss(t))))
 
     worst = 0.0
-    names = param_names if param_names is not None else store.names()
-    for name in names:
+    for name in store.names():
         value = store.value(name)
         flat = value.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + FD_STEP
             up = eval_loss()
-            flat[i] = orig - eps
+            flat[i] = orig - FD_STEP
             down = eval_loss()
             flat[i] = orig
-            numeric = (up - down) / (2 * eps)
+            numeric = (up - down) / (2 * FD_STEP)
             a = analytic[name].reshape(-1)[i]
             # the floor keeps central-difference roundoff on (near-)zero
             # gradient components from registering as large relative error

@@ -21,7 +21,7 @@ from .config import ConfigError, RunConfig, apply_setting, load_config_file
 from . import data as dio
 from . import metrics as met
 from .graph import build_bipartite
-from .gradcheck import run_gradient_checks
+from .gradcheck import GRADCHECK_TOL, run_gradient_checks
 from .tasks import (match_scores, train_joint_embedding, train_matcher,
                     train_prediction, write_run_log)
 
@@ -137,7 +137,6 @@ def _run_predict(cfg: RunConfig) -> int:
     if cfg.gene_sets:
         names_path = os.path.join(cfg.data, "features1.txt")
         gene_sets = dio.load_gene_sets(cfg.gene_sets, names_path)
-        conv.use_pathway_channel = True
     model = train_prediction(g, target, conv, cfg.protocol(),
                              gene_sets=gene_sets)
     out = _out_dir(cfg, "predict_out")
@@ -282,7 +281,7 @@ def _run_eval(args, cfg: RunConfig) -> int:
 def _run_gradcheck(args) -> int:
     results, worst, passed = run_gradient_checks(n_seeds=args.seeds)
     for name in sorted(results):
-        status = "ok" if results[name] < 1e-4 else "FAIL"
+        status = "ok" if results[name] < GRADCHECK_TOL else "FAIL"
         print(f"{name}: max rel err {results[name]:.3e} [{status}]")
     print(f"worst {worst:.3e}: {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .convnet import ConvConfig, default_layer_count
+from .convnet import TASK_LAYER_COUNTS, ConvConfig, default_layer_count
 from .graph import EdgeScaling
 from .tasks import EmbedConfig, MatcherConfig, TrainProtocol
 
@@ -86,6 +86,12 @@ class RunConfig:
             raise ConfigError("conv.residual must be 'initial' or 'skip'")
         if self.knn_k < 1:
             raise ConfigError("metrics.knn_k must be >= 1")
+        if self.task in ("match", "embed") and self.norm == "symmetric":
+            raise ConfigError(
+                f"conv.norm=symmetric is undefined for {self.task}: its graph "
+                "carries signed SVD/LSI coordinates as edge weights")
+        if self.task in TASK_LAYER_COUNTS:
+            self.conv_config(self.task)
 
     # -- builders ----------------------------------------------------------
 
@@ -101,7 +107,10 @@ class RunConfig:
             dropout_rate=self.dropout,
             n_groups=self.groups,
         )
-        cfg.validate()
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise ConfigError(f"conv: {exc}") from exc
         return cfg
 
     def protocol(self) -> TrainProtocol:

@@ -2,14 +2,14 @@
 and the learned layer readout.
 
 Coupled mode records everything on a Tape (messages in both directions,
-residual updates, optional pathway channel). Decoupled mode precomputes
-parameter-free propagation once and trains only a shared 2-layer MLP plus
-the readout weights.
+residual updates, and the pathway channel whenever the graph has pathway
+edges). Decoupled mode precomputes parameter-free propagation once and
+trains only a shared 2-layer MLP plus the readout weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class ConvConfig:
     residual_mode: str = "initial"  # "initial" or "skip"
     aggregation_norm: EdgeScaling = EdgeScaling.POST_NORM
     alpha: float | str = 0.5  # in [0, 1], or "learnable"
-    use_pathway_channel: bool = False
     dropout_rate: float = 0.2
     n_groups: int = 1
 
@@ -48,43 +47,37 @@ class ConvConfig:
             raise ValueError("alpha must be in [0, 1] or 'learnable'")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
+        if self.n_groups < 1:
+            raise ValueError("n_groups must be >= 1")
         if self.hidden_dim % self.n_groups:
             raise ValueError("n_groups must divide hidden_dim")
 
 
-@dataclass
-class LayerTrace:
-    """Per-layer cell state handles recorded during a forward pass."""
-
-    cell_states: list[int] = field(default_factory=list)
-
-
 def init_params(g: CellFeatureGraph, x: NodeEmbeddings, cfg: ConvConfig,
-                store: ParamStore, seed: int, prefix: str = ""):
-    """Register every parameter the (coupled) forward pass will read."""
+                store: ParamStore, seed: int):
+    """Register every parameter the (coupled) forward pass will read, the
+    pathway channel's among them when the graph has pathway edges."""
     cfg.validate()
     rng = np.random.default_rng(seed)
     d = cfg.hidden_dim
-    p = prefix
-    store.register(p + "in.cell.w", glorot_uniform(rng, x.cell_embed.shape[1], d))
-    store.register(p + "in.cell.b", np.zeros((1, d)))
+    store.register("in.cell.w", glorot_uniform(rng, x.cell_embed.shape[1], d))
+    store.register("in.cell.b", np.zeros((1, d)))
     feat_fan_in = (g.n_features if x.feature_embed is None
                    else x.feature_embed.shape[1])
-    store.register(p + "in.feat.w", glorot_uniform(rng, feat_fan_in, d))
-    store.register(p + "in.feat.b", np.zeros((1, d)))
+    store.register("in.feat.w", glorot_uniform(rng, feat_fan_in, d))
+    store.register("in.feat.b", np.zeros((1, d)))
     for layer in range(1, cfg.n_layers + 1):
-        channels = ["uv", "vu"] + (["vv"] if cfg.use_pathway_channel else [])
+        channels = ["uv", "vu"] + (["vv"] if g.has_pathways else [])
         for ch in channels:
-            store.register(f"{p}l{layer}.{ch}.w", glorot_uniform(rng, d, d))
-            store.register(f"{p}l{layer}.{ch}.b", np.zeros((1, d)))
+            store.register(f"l{layer}.{ch}.w", glorot_uniform(rng, d, d))
+            store.register(f"l{layer}.{ch}.b", np.zeros((1, d)))
             if cfg.aggregation_norm is EdgeScaling.POST_NORM:
-                store.register(f"{p}l{layer}.{ch}.gn.g", np.ones((1, d)))
-                store.register(f"{p}l{layer}.{ch}.gn.b", np.zeros((1, d)))
+                store.register(f"l{layer}.{ch}.gn.g", np.ones((1, d)))
+                store.register(f"l{layer}.{ch}.gn.b", np.zeros((1, d)))
     if cfg.n_layers > 0:
-        store.register(p + "readout.w",
-                       np.full(cfg.n_layers, 1.0 / cfg.n_layers))
-    if cfg.use_pathway_channel and cfg.alpha == "learnable":
-        store.register(p + "alpha", np.array([[0.5]]))
+        store.register("readout.w", np.full(cfg.n_layers, 1.0 / cfg.n_layers))
+    if g.has_pathways and cfg.alpha == "learnable":
+        store.register("alpha", np.array([[0.5]]))
 
 
 def init_decoupled_params(n_input_features: int, cfg: ConvConfig,
@@ -102,28 +95,27 @@ def init_decoupled_params(n_input_features: int, cfg: ConvConfig,
     store.register(p + "readout.w", np.full(n_states, 1.0 / n_states))
 
 
-def input_transform(tape: Tape, x: NodeEmbeddings, prefix: str = ""):
+def input_transform(tape: Tape, x: NodeEmbeddings):
     """H1 = relu(X W + b), separately per node type; for one-hot feature
     input X W is W itself."""
-    p = prefix
     cell = tape.relu(
         tape.add(tape.matmul(tape.constant(x.cell_embed),
-                             tape.param(p + "in.cell.w")),
-                 tape.param(p + "in.cell.b"))
+                             tape.param("in.cell.w")),
+                 tape.param("in.cell.b"))
     )
-    feat_w = tape.param(p + "in.feat.w")
+    feat_w = tape.param("in.feat.w")
     if x.feature_embed is not None:
         feat_in = (tape.param(x.feature_param) if x.feature_param
                    else tape.constant(x.feature_embed))
         feat_w = tape.matmul(feat_in, feat_w)
-    feat = tape.relu(tape.add(feat_w, tape.param(p + "in.feat.b")))
+    feat = tape.relu(tape.add(feat_w, tape.param("in.feat.b")))
     return cell, feat
 
 
 def _message(tape: Tape, operator, h_source: int, layer: int, channel: str,
-             cfg: ConvConfig, prefix: str = "") -> int:
+             cfg: ConvConfig) -> int:
     """sigma(b + aggregated neighbors @ W), group-normalized in POST_NORM."""
-    p = f"{prefix}l{layer}.{channel}"
+    p = f"l{layer}.{channel}"
     agg = tape.spmm_const(operator, h_source)
     msg = tape.relu(tape.add(tape.matmul(agg, tape.param(p + ".w")),
                              tape.param(p + ".b")))
@@ -134,27 +126,24 @@ def _message(tape: Tape, operator, h_source: int, layer: int, channel: str,
 
 
 def conv_layer(tape: Tape, operators, h_cell: int, h_feat: int, layer: int,
-               cfg: ConvConfig, h0_cell: int, h0_feat: int,
-               prefix: str = ""):
+               cfg: ConvConfig, h0_cell: int, h0_feat: int):
     """One coupled layer: bidirectional messages plus residual updates.
 
     operators is the (cells_from_features, features_from_cells,
-    features_from_features) triple from CellFeatureGraph.operators(mode).
+    features_from_features) triple from CellFeatureGraph.operators(mode);
+    the pathway channel runs when the third exists.
     """
     cells_from_features, features_from_cells, features_from_features = operators
-    m_uv = _message(tape, features_from_cells, h_cell, layer, "uv", cfg, prefix)
-    m_vu = _message(tape, cells_from_features, h_feat, layer, "vu", cfg, prefix)
+    m_uv = _message(tape, features_from_cells, h_cell, layer, "uv", cfg)
+    m_vu = _message(tape, cells_from_features, h_feat, layer, "vu", cfg)
     cell_base = h0_cell if cfg.residual_mode == "initial" else h_cell
     feat_base = h0_feat if cfg.residual_mode == "initial" else h_feat
-    if cfg.use_pathway_channel:
-        if features_from_features is None:
-            raise ValueError("pathway channel requested but the graph has no "
-                             "feature-feature edges")
+    if features_from_features is not None:
         m_vv = _message(tape, features_from_features, h_feat, layer, "vv",
-                        cfg, prefix)
+                        cfg)
         if cfg.alpha == "learnable":
-            mixed = tape.scalar_mix([m_vv, m_uv],
-                                    tape.param(prefix + "alpha"), tied=True)
+            mixed = tape.scalar_mix([m_vv, m_uv], tape.param("alpha"),
+                                    tied=True)
         else:
             a = float(cfg.alpha)
             mixed = tape.scalar_mix([m_vv, m_uv], np.array([a, 1.0 - a]))
@@ -168,11 +157,11 @@ def conv_layer(tape: Tape, operators, h_cell: int, h_feat: int, layer: int,
     return new_cell, new_feat
 
 
-def readout(tape: Tape, trace: LayerTrace, prefix: str = "") -> int:
-    """Learned weighted sum of per-layer cell states (Eq. 13-style)."""
-    if not trace.cell_states:
-        raise ValueError("readout needs a nonempty trace")
-    return tape.scalar_mix(trace.cell_states, tape.param(prefix + "readout.w"))
+def readout(tape: Tape, cell_states: list[int]) -> int:
+    """Learned weighted sum of per-layer cell state handles (Eq. 13-style)."""
+    if not cell_states:
+        raise ValueError("readout needs at least one cell state")
+    return tape.scalar_mix(cell_states, tape.param("readout.w"))
 
 
 def decoupled_propagate(g: CellFeatureGraph, x_cell: np.ndarray,
@@ -224,26 +213,19 @@ def decoupled_forward(tape: Tape, states: list[np.ndarray], cfg: ConvConfig,
     return tape.scalar_mix(transformed, tape.param(p + "readout.w"))
 
 
-def forward_with_trace(tape: Tape, g: CellFeatureGraph, x: NodeEmbeddings,
-                       cfg: ConvConfig, prefix: str = ""):
-    """Coupled forward pass with edges scaled by cfg.aggregation_norm;
-    returns (cell representation handle, trace)."""
+def forward(tape: Tape, g: CellFeatureGraph, x: NodeEmbeddings,
+            cfg: ConvConfig) -> int:
+    """Coupled cell representation H-hat: the readout of every layer's
+    cell state, with edges scaled by cfg.aggregation_norm."""
     operators = g.operators(cfg.aggregation_norm)
-    h_cell, h_feat = input_transform(tape, x, prefix)
+    h_cell, h_feat = input_transform(tape, x)
     h0_cell, h0_feat = h_cell, h_feat
     if cfg.dropout_rate > 0:
         h_cell = tape.dropout(h_cell, cfg.dropout_rate)
         h_feat = tape.dropout(h_feat, cfg.dropout_rate)
-    trace = LayerTrace()
+    cell_states = []
     for layer in range(1, cfg.n_layers + 1):
         h_cell, h_feat = conv_layer(tape, operators, h_cell, h_feat, layer,
-                                    cfg, h0_cell, h0_feat, prefix)
-        trace.cell_states.append(h_cell)
-    return readout(tape, trace, prefix), trace
-
-
-def forward(tape: Tape, g: CellFeatureGraph, x: NodeEmbeddings,
-            cfg: ConvConfig, prefix: str = "") -> int:
-    """Coupled cell representation H-hat (forward_with_trace's readout)."""
-    out, _ = forward_with_trace(tape, g, x, cfg, prefix)
-    return out
+                                    cfg, h0_cell, h0_feat)
+        cell_states.append(h_cell)
+    return readout(tape, cell_states)

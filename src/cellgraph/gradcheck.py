@@ -72,7 +72,7 @@ def _op_checks(seed: int) -> dict[str, float]:
           lambda t: t.mse(t.l2_normalize_rows(t.param("x")), target),
           {"x": _away_from_zero(rng, (n, d))})
     check("dropout",
-          lambda t: t.mse(t.dropout(t.param("x"), 0.3, seed=seed + 1), target),
+          lambda t: t.mse(t.dropout(t.param("x"), 0.3), target),
           {"x": rng.standard_normal((n, d))})
     check("scalar_mix",
           lambda t: t.mse(t.scalar_mix([t.param("a"), t.param("b")],
@@ -103,12 +103,7 @@ def _op_checks(seed: int) -> dict[str, float]:
           lambda t: t.rmse(t.param("x"), target),
           {"x": rng.standard_normal((n, d))})
     check("cross_entropy_rows",
-          lambda t: t.cross_entropy_rows(t.param("x"), labels, mask=mask,
-                                         reduction="mean"),
-          {"x": rng.standard_normal((n, d))})
-    check("cross_entropy_sum",
-          lambda t: t.cross_entropy_rows(t.param("x"), labels,
-                                         reduction="sum"),
+          lambda t: t.cross_entropy_rows(t.param("x"), labels, mask=mask),
           {"x": rng.standard_normal((n, d))})
     check("l2_penalty",
           lambda t: t.l2_penalty(t.param("x")),
@@ -156,10 +151,9 @@ def full_network_check(seed: int = 0) -> float:
     g = _toy_graph(seed)
     cfg = ConvConfig(n_layers=2, hidden_dim=5, residual_mode="initial",
                      aggregation_norm=EdgeScaling.POST_NORM,
-                     alpha="learnable", use_pathway_channel=True,
-                     dropout_rate=0.1, n_groups=1)
+                     alpha="learnable", dropout_rate=0.1, n_groups=1)
     store = ParamStore()
-    x = init_embeddings(g, "one_hot")
+    x = init_embeddings(g)
     init_params(g, x, cfg, store, seed=seed)
     store.register("head.w", glorot_uniform(rng, cfg.hidden_dim, 3))
     store.register("head.b", np.zeros((1, 3)))
@@ -184,8 +178,11 @@ def full_network_check(seed: int = 0) -> float:
     return finite_difference_check(build, store)
 
 
-def run_gradient_checks(n_seeds: int = 20, network_seeds=(0,),
-                        tol: float = 1e-4):
+# a check passes while its worst relative error stays below this
+GRADCHECK_TOL = 1e-4
+
+
+def run_gradient_checks(n_seeds: int = 20, network_seeds=(0,)):
     """Returns (results dict, worst error, pass flag)."""
     results: dict[str, float] = {}
     for seed in range(n_seeds):
@@ -195,4 +192,4 @@ def run_gradient_checks(n_seeds: int = 20, network_seeds=(0,),
         results[f"full_network[{seed}]"] = full_network_check(seed)
         results[f"matching_losses[{seed}]"] = matching_loss_check(seed)
     worst = max(results.values())
-    return results, worst, worst < tol
+    return results, worst, worst < GRADCHECK_TOL

@@ -188,29 +188,18 @@ def augment_with_pathways(g: CellFeatureGraph,
     )
 
 
-def init_embeddings(
-    g: CellFeatureGraph,
-    feature_init: str = "auto",
-    table_dim: int | None = None,
-    store=None,
-    seed: int = 0,
-    param_name: str = "feature_table",
-) -> NodeEmbeddings:
-    """Initial embeddings: one-hot features (or a learned table), zero cells.
+def init_embeddings(g: CellFeatureGraph, table_dim: int | None = None,
+                    store=None, seed: int = 0) -> NodeEmbeddings:
+    """Initial embeddings: zero cells, and one-hot features up to 2000
+    features, a learned table beyond.
 
-    feature_init is "one_hot", "learned", or "auto" (learned when the
-    feature count exceeds 2000, one-hot otherwise). A learned table is
-    seeded uniform in [-1/sqrt(d), 1/sqrt(d)] and registered in `store`
-    when one is given.
+    A learned table is seeded uniform in [-1/sqrt(d), 1/sqrt(d)] and
+    registered in `store` as "feature_table" when one is given.
     """
     k = g.n_features
-    if feature_init == "auto":
-        feature_init = "learned" if k > 2000 else "one_hot"
     cell_embed = np.zeros((g.n_cells, 1))
-    if feature_init == "one_hot":
+    if k <= 2000:
         return NodeEmbeddings(cell_embed, None)
-    if feature_init != "learned":
-        raise ValueError(f"unknown feature_init {feature_init!r}")
     d = table_dim
     if not d or d < 1:
         raise ValueError("learned feature table needs a positive dimension")
@@ -218,6 +207,6 @@ def init_embeddings(
     table = np.random.default_rng(seed).uniform(-bound, bound, size=(k, d))
     name = None
     if store is not None:
-        store.register(param_name, table)
-        name = param_name
+        name = "feature_table"
+        store.register(name, table)
     return NodeEmbeddings(cell_embed, table, feature_param=name)

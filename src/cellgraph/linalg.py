@@ -21,13 +21,11 @@ class NormalizationUndefined(ValueError):
     """
 
 
-def as_dense(values, n_rows=None, n_cols=None) -> np.ndarray:
-    """Coerce to a C-contiguous float64 2-D array, optionally checking shape."""
+def as_dense(values) -> np.ndarray:
+    """Coerce to a C-contiguous, finite float64 2-D array."""
     m = np.ascontiguousarray(values, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D array, got ndim={m.ndim}")
-    if n_rows is not None and m.shape != (n_rows, n_cols):
-        raise ValueError(f"expected shape ({n_rows}, {n_cols}), got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("dense matrix contains NaN/Inf")
     return m
@@ -88,10 +86,10 @@ class SparseMatrix:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_dense(cls, dense, tol: float = 0.0) -> "SparseMatrix":
+    def from_dense(cls, dense) -> "SparseMatrix":
+        """The nonzero entries of a dense matrix."""
         d = as_dense(dense)
-        mask = np.abs(d) > tol
-        rows, cols = np.nonzero(mask)
+        rows, cols = np.nonzero(d)
         return cls.from_coo(d.shape[0], d.shape[1], rows, cols, d[rows, cols])
 
     @classmethod

@@ -66,8 +66,7 @@ def write_run_log(history: list[EpochRecord], path):
 
 
 def run_training(store: ParamStore, train_epoch, validate,
-                 protocol: TrainProtocol, task_default_lr: float,
-                 adam_betas=(0.9, 0.999), adam_eps: float = 1e-8):
+                 protocol: TrainProtocol, task_default_lr: float):
     """Full-batch loop with early stopping on the validation metric.
 
     train_epoch(tape) records one forward pass and returns the loss handle;
@@ -93,8 +92,7 @@ def run_training(store: ParamStore, train_epoch, validate,
         if not np.isfinite(loss_val):
             raise RuntimeError(f"non-finite training loss at epoch {epoch}")
         tape.backward(loss)
-        adam_step(store, lr=lr, beta1=adam_betas[0], beta2=adam_betas[1],
-                  eps=adam_eps, weight_decay=protocol.weight_decay)
+        adam_step(store, lr=lr, weight_decay=protocol.weight_decay)
         val = float(validate())
         history.append(EpochRecord(epoch, loss_val, val, lr))
         if val < best_val - 1e-12:

@@ -33,18 +33,18 @@ class JointEmbedding:
 
 
 def register_embed_params(store: ParamStore, d: int, target_dim: int,
-                          seed: int, prefix: str = ""):
+                          seed: int):
     """The two-layer reconstruction perceptron f from the representation
     back to the LSI coordinates."""
     rng = np.random.default_rng(seed)
-    store.register(prefix + "je.w1", glorot_uniform(rng, d, d))
-    store.register(prefix + "je.b1", np.zeros((1, d)))
-    store.register(prefix + "je.w2", glorot_uniform(rng, d, target_dim))
-    store.register(prefix + "je.b2", np.zeros((1, target_dim)))
+    store.register("je.w1", glorot_uniform(rng, d, d))
+    store.register("je.b1", np.zeros((1, d)))
+    store.register("je.w2", glorot_uniform(rng, d, target_dim))
+    store.register("je.b2", np.zeros((1, target_dim)))
 
 
 def joint_embedding_loss(tape: Tape, h: int, x_lsi, cell_types, n_types: int,
-                         beta: float, prefix: str = ""):
+                         beta: float):
     """(total, recon, celltype, regular) loss handles.
 
     recon is the MSE of the two-layer perceptron against the LSI input;
@@ -58,14 +58,14 @@ def joint_embedding_loss(tape: Tape, h: int, x_lsi, cell_types, n_types: int,
     labels = np.asarray(cell_types, dtype=np.int64)
     if labels.max(initial=-1) >= n_types:
         raise ValueError("label index out of range")
-    hidden = tape.relu(tape.add(tape.matmul(h, tape.param(prefix + "je.w1")),
-                                tape.param(prefix + "je.b1")))
-    recon = tape.mse(tape.add(tape.matmul(hidden, tape.param(prefix + "je.w2")),
-                              tape.param(prefix + "je.b2")),
+    hidden = tape.relu(tape.add(tape.matmul(h, tape.param("je.w1")),
+                                tape.param("je.b1")))
+    recon = tape.mse(tape.add(tape.matmul(hidden, tape.param("je.w2")),
+                              tape.param("je.b2")),
                      np.asarray(x_lsi, dtype=np.float64))
     logits = tape.take(h, np.arange(n_types), axis=1)
     celltype = tape.cross_entropy_rows(logits, np.maximum(labels, 0),
-                                       mask=labels >= 0, reduction="mean")
+                                       mask=labels >= 0)
     rest = tape.take(h, np.arange(n_types, d), axis=1)
     regular = tape.scalar_mix([tape.l2_penalty(rest)], np.array([beta]))
     total = tape.add(tape.add(recon, celltype), regular)

@@ -37,35 +37,34 @@ def _invert(t: np.ndarray) -> np.ndarray:
 
 
 def register_aux_params(store: ParamStore, d: int, f1: int, f2: int,
-                        seed: int, prefix: str = ""):
+                        seed: int):
     """Two one-hidden-layer reconstruction networks, one per modality."""
     rng = np.random.default_rng(seed)
     for name, width in (("aux1", f1), ("aux2", f2)):
-        store.register(f"{prefix}{name}.w1", glorot_uniform(rng, d, d))
-        store.register(f"{prefix}{name}.b1", np.zeros((1, d)))
-        store.register(f"{prefix}{name}.w2", glorot_uniform(rng, d, width))
-        store.register(f"{prefix}{name}.b2", np.zeros((1, width)))
+        store.register(f"{name}.w1", glorot_uniform(rng, d, d))
+        store.register(f"{name}.b1", np.zeros((1, d)))
+        store.register(f"{name}.w2", glorot_uniform(rng, d, width))
+        store.register(f"{name}.b2", np.zeros((1, width)))
 
 
-def register_logit_scale(store: ParamStore, prefix: str = "",
+def register_logit_scale(store: ParamStore,
                          log_scale: float = LOG_SCALE_INIT):
     """The learned log of the temperature that multiplies cosine scores;
     exempt from weight decay, as CLIP leaves its logit_scale undecayed."""
-    store.register(prefix + LOGIT_SCALE, [[log_scale]],
-                   bounds=LOG_SCALE_BOUNDS, decay=False)
+    store.register(LOGIT_SCALE, [[log_scale]], bounds=LOG_SCALE_BOUNDS,
+                   decay=False)
 
 
-def logit_scale(store: ParamStore, prefix: str = "") -> float:
+def logit_scale(store: ParamStore) -> float:
     """The current multiplier exp(s) of the cosine scores."""
-    return float(np.exp(store.value(prefix + LOGIT_SCALE).reshape(-1)[0]))
+    return float(np.exp(store.value(LOGIT_SCALE).reshape(-1)[0]))
 
 
-def _aux_net(tape: Tape, h: int, name: str, prefix: str = "") -> int:
-    p = f"{prefix}{name}"
-    hidden = tape.relu(tape.add(tape.matmul(h, tape.param(p + ".w1")),
-                                tape.param(p + ".b1")))
-    return tape.add(tape.matmul(hidden, tape.param(p + ".w2")),
-                    tape.param(p + ".b2"))
+def _aux_net(tape: Tape, h: int, name: str) -> int:
+    hidden = tape.relu(tape.add(tape.matmul(h, tape.param(name + ".w1")),
+                                tape.param(name + ".b1")))
+    return tape.add(tape.matmul(hidden, tape.param(name + ".w2")),
+                    tape.param(name + ".b2"))
 
 
 def _relative_targets(x: np.ndarray) -> np.ndarray:
@@ -77,8 +76,7 @@ def _relative_targets(x: np.ndarray) -> np.ndarray:
 
 
 def matching_losses(tape: Tape, h1: int, h2: int, truth,
-                    aux_targets=None, aux_weight: float = 1.0,
-                    prefix: str = ""):
+                    aux_targets=None, aux_weight: float = 1.0):
     """(total, match, aux) loss handles; total = match + aux_weight * aux.
 
     The match part is the bidirectional softmax cross entropy over the true
@@ -104,8 +102,7 @@ def matching_losses(tape: Tape, h1: int, h2: int, truth,
     inv = _invert(t)
     # the scale multiplies h1's unit rows (n x d), which scales both score
     # matrices without two more n x n arrays on the tape
-    h1n = tape.exp_scale(tape.l2_normalize_rows(h1),
-                         tape.param(prefix + LOGIT_SCALE))
+    h1n = tape.exp_scale(tape.l2_normalize_rows(h1), tape.param(LOGIT_SCALE))
     h2n = tape.l2_normalize_rows(h2)
     score = tape.matmul(h1n, h2n, transpose_b=True)
     score_t = tape.matmul(h2n, h1n, transpose_b=True)
@@ -118,10 +115,10 @@ def matching_losses(tape: Tape, h1: int, h2: int, truth,
     x1 = _relative_targets(np.asarray(aux_targets[0], dtype=np.float64))
     x2 = _relative_targets(np.asarray(aux_targets[1], dtype=np.float64))
     aux = tape.add(
-        tape.add(tape.mse(_aux_net(tape, h1, "aux2", prefix), x2[t]),
-                 tape.mse(_aux_net(tape, h2, "aux1", prefix), x1[inv])),
-        tape.add(tape.mse(_aux_net(tape, h1, "aux1", prefix), x1),
-                 tape.mse(_aux_net(tape, h2, "aux2", prefix), x2)),
+        tape.add(tape.mse(_aux_net(tape, h1, "aux2"), x2[t]),
+                 tape.mse(_aux_net(tape, h2, "aux1"), x1[inv])),
+        tape.add(tape.mse(_aux_net(tape, h1, "aux1"), x1),
+                 tape.mse(_aux_net(tape, h2, "aux2"), x2)),
     )
     total = tape.add(match, tape.scalar_mix([aux], np.array([aux_weight])))
     return total, match, aux
@@ -254,12 +251,10 @@ class MatcherModel:
                                           prefix="m2."))
         return h1.copy(), h2.copy()
 
-    def infer(self, batch_labels_1, batch_labels_2,
-              percentile: float | None = None) -> MatchOutput:
+    def infer(self, batch_labels_1, batch_labels_2) -> MatchOutput:
         h1, h2 = self.embeddings()
-        pct = self.cfg.percentile if percentile is None else percentile
-        return match_inference(h1, h2, batch_labels_1, batch_labels_2, pct,
-                               logit_scale(self.store))
+        return match_inference(h1, h2, batch_labels_1, batch_labels_2,
+                               self.cfg.percentile, logit_scale(self.store))
 
 
 def reduce_modality(m: SparseMatrix, rank: int, seed: int) -> np.ndarray:

@@ -51,11 +51,10 @@ class PredictionModel:
     train_idx: np.ndarray | None = None
     val_idx: np.ndarray | None = None
 
-    def predict(self, graph: CellFeatureGraph | None = None) -> np.ndarray:
+    def predict(self) -> np.ndarray:
         """Eval-mode forward pass through the trained head."""
-        g = self.graph if graph is None else graph
         tape = Tape(self.store, train=False)
-        h_hat = forward(tape, g, self.embeddings, self.cfg)
+        h_hat = forward(tape, self.graph, self.embeddings, self.cfg)
         out = tape.add(tape.matmul(h_hat, tape.param("head.w")),
                        tape.param("head.b"))
         return tape.value(out).copy()
@@ -78,7 +77,7 @@ def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
     if gene_sets is not None:
         g = augment_with_pathways(g, gene_sets)
     store = ParamStore()
-    x = init_embeddings(g, "auto", table_dim=cfg.hidden_dim, store=store,
+    x = init_embeddings(g, table_dim=cfg.hidden_dim, store=store,
                         seed=protocol.seed)
     init_params(g, x, cfg, store, seed=protocol.seed)
     rng = np.random.default_rng(protocol.seed + 1)

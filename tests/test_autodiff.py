@@ -132,6 +132,18 @@ class TestBackward:
                                                      network_seeds=())
         assert passed, f"worst op-gradient error {worst:.2e}: {results}"
 
+    def test_every_op_has_a_gradient_check(self):
+        # a check is named after its op, plus an optional variant suffix
+        not_ops = {"constant", "param", "value", "backward"}
+        ops = [name for name, fn in vars(Tape).items()
+               if callable(fn) and not name.startswith("_")
+               and name not in not_ops]
+        results, _, _ = run_gradient_checks(n_seeds=1, network_seeds=())
+        unchecked = [op for op in ops
+                     if not any(k == op or k.startswith(op + "_")
+                                for k in results)]
+        assert "matmul" in ops and not unchecked, unchecked
+
 
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
@@ -142,7 +154,7 @@ class TestAdam:
     def test_first_step_is_signed_lr(self):
         store = store_with(w=np.zeros((1, 3)))
         store.entries["w"].grad[:] = np.array([[0.5, -2.0, 1e-3]])
-        adam_step(store, lr=0.01, step=1)
+        adam_step(store, lr=0.01)
         assert np.allclose(store.value("w"),
                            [[-0.01, 0.01, -0.01]], atol=1e-4)
 
@@ -151,9 +163,9 @@ class TestAdam:
         # oscillation floor within 200 steps
         store = store_with(w=np.array([[1.0]]))
         values = []
-        for step in range(1, 201):
+        for _ in range(200):
             store.entries["w"].grad[:] = 2 * store.value("w")
-            adam_step(store, lr=0.005, step=step)
+            adam_step(store, lr=0.005)
             values.append(abs(store.value("w")[0, 0]))
         assert values[-1] < 0.3
         assert all(b <= a + 1e-12 for a, b in zip(values[5:], values[6:]))
@@ -174,7 +186,7 @@ class TestAdam:
         store = ParamStore()
         store.register("s", [[0.995]], bounds=(0.0, 1.0))
         store.entries["s"].grad[:] = -1.0  # the step pushes s up by lr
-        adam_step(store, lr=0.01, step=1)
+        adam_step(store, lr=0.01)
         assert store.value("s")[0, 0] == 1.0
 
     def test_non_finite_gradient_aborts_step(self):
@@ -239,9 +251,9 @@ class TestSnapshotAndCheckpoint:
         # identical Adam trajectories from the live store and a reloaded one
         rng = np.random.default_rng(4)
         store = store_with(w=rng.standard_normal((2, 3)))
-        for step in range(1, 6):
+        for _ in range(5):
             store.entries["w"].grad[:] = rng.standard_normal((2, 3))
-            adam_step(store, lr=0.01, weight_decay=0.1, step=step)
+            adam_step(store, lr=0.01, weight_decay=0.1)
         path = tmp_path / "mid.ckpt"
         save_checkpoint(store, path)
         resumed = load_checkpoint(path)

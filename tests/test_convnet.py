@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from cellgraph.autodiff import ParamStore, Tape, finite_difference_check
-from cellgraph.convnet import (ConvConfig, LayerTrace, TASK_LAYER_COUNTS,
-                               conv_layer, decoupled_forward,
-                               decoupled_propagate, default_layer_count,
-                               forward, forward_with_trace, init_decoupled_params,
-                               init_params, input_transform, readout)
-from cellgraph.graph import EdgeScaling, build_bipartite, init_embeddings
+from cellgraph.convnet import (ConvConfig, TASK_LAYER_COUNTS, conv_layer,
+                               decoupled_forward, decoupled_propagate,
+                               default_layer_count, forward,
+                               init_decoupled_params, init_params,
+                               input_transform, readout)
+from cellgraph.graph import (EdgeScaling, GeneSetCollection,
+                             augment_with_pathways, build_bipartite,
+                             init_embeddings)
 from cellgraph.linalg import SparseMatrix, spmm, standardize_rows
 
 
@@ -25,7 +27,7 @@ def relu(x):
 class TestInputTransform:
     def setup_method(self):
         self.g = toy_graph([[1.0, 2.0], [3.0, 0.0], [0.0, 1.0]])
-        self.x = init_embeddings(self.g, "one_hot")
+        self.x = init_embeddings(self.g)
         self.cfg = ConvConfig(n_layers=1, hidden_dim=4, dropout_rate=0.0,
                               aggregation_norm=EdgeScaling.SYMMETRIC)
 
@@ -66,7 +68,7 @@ class TestConvLayer:
                          aggregation_norm=EdgeScaling.POST_NORM,
                          residual_mode="skip")
         store = ParamStore()
-        x = init_embeddings(g, "one_hot")
+        x = init_embeddings(g)
         init_params(g, x, cfg, store, seed=0)
         t = Tape(store)
         rng = np.random.default_rng(1)
@@ -87,11 +89,10 @@ class TestConvLayer:
         g.ff_j = np.array([1])
         g.ff_weights = np.array([0.8])
         cfg = ConvConfig(n_layers=1, hidden_dim=3, dropout_rate=0.0,
-                         aggregation_norm=EdgeScaling.SYMMETRIC,
-                         use_pathway_channel=True, alpha=1.0,
+                         aggregation_norm=EdgeScaling.SYMMETRIC, alpha=1.0,
                          residual_mode="skip")
         store = ParamStore()
-        x = init_embeddings(g, "one_hot")
+        x = init_embeddings(g)
         init_params(g, x, cfg, store, seed=3)
         # zero the cells->features channel parameters: with alpha=1 the
         # feature update must not change at all
@@ -117,7 +118,7 @@ class TestConvLayer:
                          aggregation_norm=EdgeScaling.SYMMETRIC,
                          residual_mode="skip")
         store = ParamStore()
-        x = init_embeddings(g, "one_hot")
+        x = init_embeddings(g)
         init_params(g, x, cfg, store, seed=4)
         rng = np.random.default_rng(5)
         hc = rng.standard_normal((3, 2))
@@ -136,21 +137,6 @@ class TestConvLayer:
         assert np.allclose(t.value(new_feat), hf + m_uv)
         assert np.allclose(t.value(new_cell), hc + m_vu)
 
-    def test_pathway_channel_requires_edges(self):
-        g = toy_graph([[1.0, 1.0]])
-        cfg = ConvConfig(n_layers=1, hidden_dim=2, dropout_rate=0.0,
-                         aggregation_norm=EdgeScaling.SYMMETRIC,
-                         use_pathway_channel=True)
-        store = ParamStore()
-        x = init_embeddings(g, "one_hot")
-        init_params(g, x, cfg, store, seed=0)
-        t = Tape(store)
-        h_cell = t.constant(np.ones((1, 2)))
-        h_feat = t.constant(np.ones((2, 2)))
-        with pytest.raises(ValueError, match="no feature-feature edges"):
-            conv_layer(t, g.operators(SYM), h_cell, h_feat, 1, cfg, h_cell,
-                       h_feat)
-
     def test_initial_residual_uses_first_layer_state(self):
         dense = np.array([[1.0, 1.0], [1.0, 1.0]])
         g = toy_graph(dense)
@@ -158,7 +144,7 @@ class TestConvLayer:
                          aggregation_norm=EdgeScaling.SYMMETRIC,
                          residual_mode="initial")
         store = ParamStore()
-        init_params(g, init_embeddings(g, "one_hot"), cfg, store, seed=6)
+        init_params(g, init_embeddings(g), cfg, store, seed=6)
         rng = np.random.default_rng(7)
         h0c, h0f = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         hc, hf = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
@@ -172,12 +158,28 @@ class TestConvLayer:
         assert np.allclose(t.value(new_cell), h0c + m_vu)
 
 
+class TestPathwayChannel:
+    def test_parameters_follow_the_graph(self):
+        # the channel's weights (and a learnable alpha) exist exactly when
+        # the graph has pathway edges; no config flag turns it on
+        m = SparseMatrix.from_dense(np.array([[1.0, 2.0, 0.5],
+                                              [0.5, 1.0, 2.0]]))
+        sets = GeneSetCollection([("s", [0, 1, 2])])
+        for alpha in (0.5, "learnable"):
+            cfg = ConvConfig(alpha=alpha)
+            for g, has in ((augment_with_pathways(build_bipartite(m), sets),
+                            True),
+                           (build_bipartite(m), False)):
+                store = ParamStore()
+                init_params(g, init_embeddings(g), cfg, store, seed=0)
+                assert ("l1.vv.w" in store) == has
+                assert ("l1.vv.gn.g" in store) == has
+                assert ("alpha" in store) == (has and alpha == "learnable")
+
+
 class TestReadout:
     def _trace(self, t, arrays):
-        tr = LayerTrace()
-        for a in arrays:
-            tr.cell_states.append(t.constant(a))
-        return tr
+        return [t.constant(a) for a in arrays]
 
     def test_single_layer_identity_weight(self):
         store = ParamStore()
@@ -210,7 +212,7 @@ class TestReadout:
         store = ParamStore()
         store.register("readout.w", np.array([1.0]))
         with pytest.raises(ValueError):
-            readout(Tape(store), LayerTrace())
+            readout(Tape(store), [])
 
     def test_readout_weight_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -278,7 +280,7 @@ class TestForward:
         cfg = ConvConfig(n_layers=2, hidden_dim=4, dropout_rate=0.3,
                          aggregation_norm=EdgeScaling.SYMMETRIC)
         store = ParamStore()
-        x = init_embeddings(g, "one_hot")
+        x = init_embeddings(g)
         init_params(g, x, cfg, store, seed=18)
 
         def run():
@@ -295,10 +297,10 @@ class TestForward:
                          aggregation_norm=EdgeScaling.SYMMETRIC,
                          residual_mode="skip")
         store = ParamStore()
-        x = init_embeddings(g, "one_hot")
+        x = init_embeddings(g)
         init_params(g, x, cfg, store, seed=20)
         t = Tape(store)
-        h_hat, trace = forward_with_trace(t, g, x, cfg)
+        h_hat = forward(t, g, x, cfg)
         t2 = Tape(store)
         hc, hf = input_transform(t2, x)
         states = []
@@ -306,8 +308,7 @@ class TestForward:
             hc, hf = conv_layer(t2, g.operators(SYM), hc, hf, layer, cfg,
                                 hc, hf)
             states.append(hc)
-        tr = LayerTrace(cell_states=states)
-        manual = readout(t2, tr)
+        manual = readout(t2, states)
         assert np.allclose(t.value(h_hat), t2.value(manual))
 
     def test_post_norm_config_multiplies_raw_weights(self):
@@ -320,7 +321,7 @@ class TestForward:
                          aggregation_norm=EdgeScaling.POST_NORM,
                          residual_mode="initial")
         store = ParamStore()
-        x = init_embeddings(g, "one_hot")
+        x = init_embeddings(g)
         init_params(g, x, cfg, store, seed=25)
         rng = np.random.default_rng(26)
         for name in store.names():
@@ -352,7 +353,7 @@ class TestForward:
         def embed(d):
             g = toy_graph(d)
             store = ParamStore()
-            x = init_embeddings(g, "one_hot")
+            x = init_embeddings(g)
             init_params(g, x, cfg, store, seed=22)
             t = Tape(store)
             return t.value(forward(t, g, x, cfg))
@@ -367,7 +368,7 @@ class TestForward:
                          aggregation_norm=EdgeScaling.SYMMETRIC,
                          residual_mode="initial")
         store = ParamStore()
-        x = init_embeddings(g, "one_hot")
+        x = init_embeddings(g)
         init_params(g, x, cfg, store, seed=24)
         t = Tape(store)
         out = t.value(forward(t, g, x, cfg))

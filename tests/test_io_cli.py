@@ -301,6 +301,26 @@ class TestCli:
         assert run_cli("match", "--data", str(tmp_path / "nowhere"),
                        "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("task, code", [("match", 1), ("embed", 1),
+                                            ("predict", 2)])
+    def test_symmetric_norm_rejected_for_signed_graphs(self, tmp_path, task,
+                                                       code, capsys):
+        # match and embed weight their edges by signed SVD/LSI coordinates,
+        # so the key fails before the (missing) dataset is read; predict's
+        # graph is the non-negative modality and gets as far as loading it
+        assert run_cli(task, "--data", str(tmp_path / "nowhere"),
+                       "--set", "conv.norm=symmetric") == code
+        err = capsys.readouterr().err
+        assert ("config error" in err) == (code == 1)
+
+    @pytest.mark.parametrize("setting", ["conv.groups=5", "conv.groups=0",
+                                         "conv.hidden_dim=0",
+                                         "conv.n_layers=-1"])
+    def test_invalid_conv_setting_exit_1(self, tmp_path, setting, capsys):
+        assert run_cli("match", "--data", str(tmp_path / "nowhere"),
+                       "--set", setting) == 1
+        assert "config error: conv: " in capsys.readouterr().err
+
     def test_synth_then_match_smoke(self, synth_dir, tmp_path):
         out = tmp_path / "match"
         code = run_cli("match", "--data", str(synth_dir), "--seed", "1",

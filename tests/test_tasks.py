@@ -284,7 +284,7 @@ class TestTrainPrediction:
         sets = GeneSetCollection([("s1", [0, 1, 2]), ("s2", [2, 3])])
         cfg = ConvConfig(n_layers=2, hidden_dim=8, dropout_rate=0.0,
                          aggregation_norm=EdgeScaling.POST_NORM,
-                         use_pathway_channel=True, alpha="learnable")
+                         alpha="learnable")
         protocol = TrainProtocol(patience_epochs=10, max_epochs=40, seed=0)
         model = train_prediction(g, target, cfg, protocol, gene_sets=sets)
         assert model.graph.has_pathways
