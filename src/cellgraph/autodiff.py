@@ -275,6 +275,9 @@ class Tape:
         wv = self.value(w_handle) if w_handle is not None else np.asarray(
             weights, dtype=np.float64
         )
+        # the closure keeps the weight's shape, not the tape: a closure that
+        # read the tape would hold every spent tape in a reference cycle
+        w_shape = wv.shape
         wv = wv.reshape(-1)
         if tied:
             if len(tensors) != 2 or wv.size != 1:
@@ -294,7 +297,7 @@ class Tape:
                     gw = np.array([[np.sum(g * (vals[0] - vals[1]))]])
                 else:
                     gw = np.array([[np.sum(g * v) for v in vals]])
-                grads.append(gw.reshape(self.value(w_handle).shape))
+                grads.append(gw.reshape(w_shape))
             return tuple(grads)
 
         return self._derived(out, parents, vjp)

@@ -3,6 +3,7 @@ validation, and builders for the per-module config objects."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .convnet import TASK_LAYER_COUNTS, ConvConfig, default_layer_count
@@ -19,6 +20,33 @@ _NORM_NAMES = {
     "min_max": EdgeScaling.MIN_MAX,
     "post_norm": EdgeScaling.POST_NORM,
 }
+
+
+# ConvConfig and TrainProtocol fields -> the config keys that set them
+_FIELD_KEYS = {
+    "n_layers": "conv.n_layers",
+    "hidden_dim": "conv.hidden_dim",
+    "residual_mode": "conv.residual",
+    "alpha": "conv.alpha",
+    "dropout_rate": "conv.dropout",
+    "n_groups": "conv.groups",
+    "split_fraction": "train.split_fraction",
+    "patience_epochs": "train.patience",
+    "max_epochs": "train.max_epochs",
+    "lr_decay_every": "train.lr_decay_every",
+}
+
+
+def _validated(section: str, obj):
+    """obj after its own validate(); a failure is re-raised as a
+    ConfigError whose message names config keys in place of fields."""
+    try:
+        obj.validate()
+    except ValueError as exc:
+        msg = re.sub(r"\w+", lambda m: _FIELD_KEYS.get(m[0], m[0]),
+                     str(exc))
+        raise ConfigError(f"{section}: {msg}") from exc
+    return obj
 
 
 @dataclass
@@ -66,24 +94,14 @@ class RunConfig:
     synth_dropout: float = 0.3
 
     def validate(self):
-        if self.alpha != "learnable" and not 0.0 <= float(self.alpha) <= 1.0:
-            raise ConfigError("conv.alpha must be in [0, 1] or 'learnable'")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError("train.split_fraction must be in (0, 1)")
+        """Check every setting; the conv and train settings are checked by
+        the objects they build. A task that builds no network checks
+        conv.alpha, conv.dropout and conv.residual, not the network's
+        shape."""
         if not 0.0 <= self.percentile < 100.0:
             raise ConfigError("match.percentile must be in [0, 100)")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("conv.dropout must be in [0, 1)")
-        if self.patience < 1:
-            raise ConfigError("train.patience must be >= 1")
-        if self.max_epochs < 1:
-            raise ConfigError("train.max_epochs must be >= 1")
-        if self.lr_decay_every < 1:
-            raise ConfigError("train.lr_decay_every must be >= 1")
         if self.norm not in _NORM_NAMES:
             raise ConfigError(f"conv.norm must be one of {sorted(_NORM_NAMES)}")
-        if self.residual not in ("initial", "skip"):
-            raise ConfigError("conv.residual must be 'initial' or 'skip'")
         if self.knn_k < 1:
             raise ConfigError("metrics.knn_k must be >= 1")
         if self.task in ("match", "embed") and self.norm == "symmetric":
@@ -92,13 +110,21 @@ class RunConfig:
                 "carries signed SVD/LSI coordinates as edge weights")
         if self.task in TASK_LAYER_COUNTS:
             self.conv_config(self.task)
+        else:
+            _validated("conv", ConvConfig(residual_mode=self.residual,
+                                          alpha=self.alpha,
+                                          dropout_rate=self.dropout))
+        self.protocol()
 
     # -- builders ----------------------------------------------------------
 
     def conv_config(self, task: str) -> ConvConfig:
         layers = (default_layer_count(task) if self.n_layers is None
                   else self.n_layers)
-        cfg = ConvConfig(
+        if task == "predict" and layers < 1:
+            raise ConfigError("conv: conv.n_layers must be >= 1 for predict, "
+                              "whose readout mixes the per-layer cell states")
+        return _validated("conv", ConvConfig(
             n_layers=layers,
             hidden_dim=self.hidden_dim,
             residual_mode=self.residual,
@@ -106,15 +132,10 @@ class RunConfig:
             alpha=self.alpha,
             dropout_rate=self.dropout,
             n_groups=self.groups,
-        )
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise ConfigError(f"conv: {exc}") from exc
-        return cfg
+        ))
 
     def protocol(self) -> TrainProtocol:
-        p = TrainProtocol(
+        return _validated("train", TrainProtocol(
             split_fraction=self.split_fraction,
             patience_epochs=self.patience,
             max_epochs=self.max_epochs,
@@ -123,9 +144,7 @@ class RunConfig:
             weight_decay=self.weight_decay,
             lr_decay_rate=self.lr_decay_rate,
             lr_decay_every=self.lr_decay_every,
-        )
-        p.validate()
-        return p
+        ))
 
     def matcher_config(self) -> MatcherConfig:
         return MatcherConfig(

@@ -42,7 +42,8 @@ class ConvConfig:
         if self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
         if self.residual_mode not in ("initial", "skip"):
-            raise ValueError(f"unknown residual_mode {self.residual_mode!r}")
+            raise ValueError("residual_mode must be 'initial' or 'skip', "
+                             f"got {self.residual_mode!r}")
         if self.alpha != "learnable" and not 0.0 <= float(self.alpha) <= 1.0:
             raise ValueError("alpha must be in [0, 1] or 'learnable'")
         if not 0.0 <= self.dropout_rate < 1.0:

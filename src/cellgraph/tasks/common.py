@@ -82,12 +82,18 @@ def run_training(store: ParamStore, train_epoch, validate,
     best_epoch = -1
     best_snap = store.snapshot()
     history: list[EpochRecord] = []
+    tape = None
     for epoch in range(protocol.max_epochs):
         lr = lr_decay(base_lr, epoch, protocol.lr_decay_rate,
                       protocol.lr_decay_every)
-        tape = Tape(store, train=True,
-                    rng=np.random.default_rng([protocol.seed, epoch]))
+        spent, tape = tape, Tape(
+            store, train=True,
+            rng=np.random.default_rng([protocol.seed, epoch]))
         loss = train_epoch(tape)
+        # the spent tape is freed only now, under this pass's arrays, so the
+        # allocator reuses its memory for the next pass instead of handing
+        # it back to the system and faulting it in again
+        del spent
         loss_val = float(np.asarray(tape.value(loss)))
         if not np.isfinite(loss_val):
             raise RuntimeError(f"non-finite training loss at epoch {epoch}")

@@ -21,6 +21,9 @@ MATCHING_LR = 1e-2
 LOGIT_SCALE = "logit_scale"
 LOG_SCALE_INIT = float(np.log(1.0 / 0.07))
 LOG_SCALE_BOUNDS = (0.0, float(np.log(100.0)))
+# the match term scores the pairs in random blocks of at most this many, so
+# training holds O(n * MATCH_BLOCK) scores instead of n x n
+MATCH_BLOCK = 128
 
 
 def _check_bijection(truth, n: int) -> np.ndarray:
@@ -75,16 +78,26 @@ def _relative_targets(x: np.ndarray) -> np.ndarray:
     return x / spread if spread > 0 else x
 
 
+def _pair_blocks(tape: Tape, n: int) -> list[np.ndarray]:
+    """Rows 0..n-1 in ceil(n / MATCH_BLOCK) blocks drawn with the tape's
+    generator, each sorted."""
+    return [np.sort(b) for b in
+            np.array_split(tape.rng.permutation(n), -(-n // MATCH_BLOCK))]
+
+
 def matching_losses(tape: Tape, h1: int, h2: int, truth,
                     aux_targets=None, aux_weight: float = 1.0):
     """(total, match, aux) loss handles; total = match + aux_weight * aux.
 
     The match part is the bidirectional softmax cross entropy over the true
-    pairs of the cosine score matrix times the learned logit scale
-    exp(s) (CLIP's logit_scale, likewise exempt from weight decay): the row
-    and the column cross entropies, each averaged over the cells, then
-    averaged and divided by log n, their value at chance. The aux part adds
-    the four prediction/reconstruction mean-squared errors through the two
+    pairs of the cosine scores times the learned logit scale exp(s) (CLIP's
+    logit_scale, likewise exempt from weight decay). The pairs are scored
+    in random blocks of at most MATCH_BLOCK, drawn from the tape's
+    generator. A block of b pairs adds the row and the column cross
+    entropies of its b x b scores, each averaged over its cells, then
+    averaged, divided by log b, their value at chance, and weighted by
+    b / n. The aux part, over all n cells, adds the four
+    prediction/reconstruction mean-squared errors through the two
     one-hidden-layer networks, each against targets whose columns are
     centred and scaled to unit mean variance, so a network that predicts
     nothing scores 1 per term. Both parts are thus free of the cell count
@@ -99,19 +112,28 @@ def matching_losses(tape: Tape, h1: int, h2: int, truth,
     if tape.value(h2).shape[0] != n:
         raise ValueError("h1 and h2 must pair the same number of cells")
     t = _check_bijection(truth, n)
-    inv = _invert(t)
-    # the scale multiplies h1's unit rows (n x d), which scales both score
-    # matrices without two more n x n arrays on the tape
+    # the scale multiplies h1's unit rows (n x d), which scales every score
+    # block without two more score arrays on the tape
     h1n = tape.exp_scale(tape.l2_normalize_rows(h1), tape.param(LOGIT_SCALE))
     h2n = tape.l2_normalize_rows(h2)
-    score = tape.matmul(h1n, h2n, transpose_b=True)
-    score_t = tape.matmul(h2n, h1n, transpose_b=True)
-    chance = np.log(n) if n > 1 else 1.0
-    match = tape.scalar_mix([tape.cross_entropy_rows(score, t),
-                             tape.cross_entropy_rows(score_t, inv)],
-                            np.full(2, 0.5 / chance))
+    terms, weights = [], []
+    for rows in _pair_blocks(tape, n):
+        b = len(rows)
+        cols = np.sort(t[rows])  # modality-2 rows of the block's pairs
+        labels = np.searchsorted(cols, t[rows])
+        a1 = tape.take(h1n, rows)
+        a2 = tape.take(h2n, cols)
+        terms += [
+            tape.cross_entropy_rows(tape.matmul(a1, a2, transpose_b=True),
+                                    labels),
+            tape.cross_entropy_rows(tape.matmul(a2, a1, transpose_b=True),
+                                    _invert(labels))]
+        chance = np.log(b) if b > 1 else 1.0
+        weights += [0.5 * (b / n) / chance] * 2
+    match = tape.scalar_mix(terms, np.array(weights))
     if aux_targets is None:
         return match, match, tape.constant(np.asarray(0.0))
+    inv = _invert(t)
     x1 = _relative_targets(np.asarray(aux_targets[0], dtype=np.float64))
     x2 = _relative_targets(np.asarray(aux_targets[1], dtype=np.float64))
     aux = tape.add(
@@ -270,9 +292,9 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
     """Train the two decoupled towers against the known train pairing.
 
     correspondence[i] is the modality-2 row of the cell in modality-1 row i.
-    Propagation runs once over all cells (it is parameter-free); the loss is
-    evaluated on the train split and early stopping watches the same loss on
-    the validation split.
+    Propagation runs once over all cells (it is parameter-free); the MLP
+    and the loss run on the train split's rows, and early stopping watches
+    the validation split's competition score.
     """
     cfg = cfg or MatcherConfig()
     n = m1.n_rows
@@ -297,14 +319,18 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
 
     train_idx, val_idx = split_cells(n, protocol.split_fraction, protocol.seed)
     aux_train = (x1[train_idx], x2[t_all[train_idx]]) if cfg.use_aux else None
+    # the MLP is row-wise, so each split's rows are gathered before it, with
+    # modality 2 in pair order; the rows the losses never read stay out
+    train1 = [s[train_idx] for s in states1]
+    train2 = [s[t_all[train_idx]] for s in states2]
+    val1 = [s[val_idx] for s in states1]
+    val2 = [s[t_all[val_idx]] for s in states2]
 
     def train_epoch(tape: Tape):
-        h1_all = decoupled_forward(tape, states1, cfg.conv, prefix="m1.")
-        h2_all = decoupled_forward(tape, states2, cfg.conv, prefix="m2.")
+        h1 = decoupled_forward(tape, train1, cfg.conv, prefix="m1.")
+        h2 = decoupled_forward(tape, train2, cfg.conv, prefix="m2.")
         total, _, _ = matching_losses(
-            tape, tape.take(h1_all, train_idx),
-            tape.take(h2_all, t_all[train_idx]),
-            np.arange(len(train_idx)), aux_targets=aux_train,
+            tape, h1, h2, np.arange(len(train_idx)), aux_targets=aux_train,
             aux_weight=cfg.aux_weight)
         return total
 
@@ -313,12 +339,9 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
         # the held-out cross-entropy plateaus long before the probability
         # mass on true pairs (the task metric) stops improving
         tape = Tape(store, train=False)
-        h1 = tape.value(decoupled_forward(tape, states1, cfg.conv,
-                                          prefix="m1."))
-        h2 = tape.value(decoupled_forward(tape, states2, cfg.conv,
-                                          prefix="m2."))
-        block = (l2_normalize_rows(h1[val_idx])
-                 @ l2_normalize_rows(h2[t_all[val_idx]]).T)
+        h1 = tape.value(decoupled_forward(tape, val1, cfg.conv, prefix="m1."))
+        h2 = tape.value(decoupled_forward(tape, val2, cfg.conv, prefix="m2."))
+        block = l2_normalize_rows(h1) @ l2_normalize_rows(h2).T
         rp, cp = score_probabilities(block, logit_scale(store))
         mass = 0.5 * (np.trace(rp) + np.trace(cp))
         return -mass

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,24 @@ class TestBackward:
         both = t.add(x, x)
         t.backward(t.mse(both, np.zeros((1, 2))))
         assert np.allclose(store.grad("x"), 2 * 2 * 2 * 3.0 / 2)
+
+    def test_spent_tape_freed_without_cyclic_collector(self):
+        # no backward closure may hold its tape, or every spent tape would
+        # live until the cyclic collector runs
+        store = store_with(w=[[0.3, 0.7]])
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t = Tape(store)
+            mixed = t.scalar_mix([t.constant(np.ones((2, 2))),
+                                  t.constant(np.eye(2))], t.param("w"))
+            t.backward(t.mse(mixed, np.zeros((2, 2))))
+            ref = weakref.ref(t)
+            del t, mixed
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_finite_differences_all_ops(self):
         results, worst, passed = run_gradient_checks(n_seeds=20,

@@ -240,6 +240,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="percentile"):
             cfg.validate()
 
+    @pytest.mark.parametrize("key, value", [
+        ("conv.alpha", 1.5), ("conv.dropout", 1.0), ("conv.residual", "x"),
+        ("conv.groups", 5), ("conv.hidden_dim", 0), ("conv.n_layers", -1),
+        ("train.split_fraction", 1.0), ("train.patience", 0),
+        ("train.max_epochs", 0), ("train.lr_decay_every", 0)])
+    def test_errors_name_the_config_key(self, key, value):
+        cfg = RunConfig(task="match")
+        apply_setting(cfg, key, str(value))
+        with pytest.raises(ConfigError, match=f"^{key.split('.')[0]}: "
+                           f"{re.escape(key)} "):
+            cfg.validate()
+
+    def test_error_names_every_key_it_mentions(self):
+        cfg = RunConfig(task="match", groups=5)
+        with pytest.raises(ConfigError, match="^conv: conv.groups must "
+                           "divide conv.hidden_dim"):
+            cfg.validate()
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# a hand-written run\n"
@@ -320,6 +338,22 @@ class TestCli:
         assert run_cli("match", "--data", str(tmp_path / "nowhere"),
                        "--set", setting) == 1
         assert "config error: conv: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, code", [
+        ("conv.groups=5", 0), ("conv.hidden_dim=0", 0), ("conv.n_layers=-1", 0),
+        ("conv.alpha=1.5", 1), ("conv.dropout=1", 1), ("conv.residual=x", 1)])
+    def test_synth_checks_conv_values_not_shape(self, tmp_path, setting,
+                                                code):
+        # synth builds no network, so only values no network takes fail
+        assert run_cli("synth", "--cells", "40", "--seed", "2",
+                       "--out", str(tmp_path / "s"), "--set", setting) == code
+
+    def test_predict_without_layers_exit_1(self, tmp_path, capsys):
+        # the coupled readout mixes per-layer states, so predict needs one;
+        # the (missing) dataset is never read
+        assert run_cli("predict", "--data", str(tmp_path / "nowhere"),
+                       "--set", "conv.n_layers=0") == 1
+        assert "config error: conv: conv.n_layers" in capsys.readouterr().err
 
     def test_synth_then_match_smoke(self, synth_dir, tmp_path):
         out = tmp_path / "match"

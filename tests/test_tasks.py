@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cellgraph.autodiff import ParamStore, Tape
+from cellgraph.autodiff import ParamStore, Tape, finite_difference_check
 from cellgraph.convnet import ConvConfig
 from cellgraph.data import generate_synthetic
+from cellgraph.gradcheck import GRADCHECK_TOL
 from cellgraph.graph import EdgeScaling, build_bipartite
 from cellgraph.linalg import SparseMatrix, l2_normalize_rows
 from cellgraph.tasks import (EmbedConfig, MatcherConfig, TrainProtocol,
@@ -13,7 +14,9 @@ from cellgraph.tasks import (EmbedConfig, MatcherConfig, TrainProtocol,
                              register_aux_params, register_embed_params,
                              register_logit_scale, rmse_loss,
                              score_probabilities, split_cells,
-                             train_joint_embedding, train_prediction)
+                             train_joint_embedding, train_matcher,
+                             train_prediction)
+from cellgraph.tasks import matching
 from cellgraph.tasks.embedding import EMBED_LR
 from cellgraph.tasks.prediction import _edges_restricted_to
 from cellgraph.metrics import nmi_cluster_label
@@ -121,6 +124,87 @@ class TestMatchingLosses:
         h = np.eye(3)
         with pytest.raises(ValueError, match="bijection"):
             match_loss_values(h, h, np.array([0, 0, 1]))
+
+
+class TestMatchBlocks:
+    """The match term over random blocks, with blocks of at most 3 pairs."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(matching, "MATCH_BLOCK", 3)
+
+    @staticmethod
+    def match_value(h1, h2, truth, log_scale=0.5, seed=5):
+        store = ParamStore()
+        register_logit_scale(store, log_scale=log_scale)
+        tape = Tape(store, train=False, rng=np.random.default_rng(seed))
+        _, match, _ = matching_losses(tape, tape.constant(h1),
+                                      tape.constant(h2), truth)
+        return float(np.asarray(tape.value(match)))
+
+    def test_chance_scores_one(self):
+        h = np.ones((7, 3))
+        assert self.match_value(h, h, np.arange(7)) == pytest.approx(
+            1.0, abs=1e-12)
+
+    def test_equals_hand_loop_over_blocks(self):
+        rng = np.random.default_rng(6)
+        h1, h2 = rng.standard_normal((7, 4)), rng.standard_normal((7, 4))
+        truth = rng.permutation(7)
+        log_scale = 0.5
+        blocks = np.array_split(np.random.default_rng(5).permutation(7), 3)
+        assert [len(b) for b in blocks] == [3, 2, 2]
+        u1 = np.exp(log_scale) * l2_normalize_rows(h1)
+        u2 = l2_normalize_rows(h2)
+        expected = 0.0
+        for rows in blocks:
+            s = u1[rows] @ u2[truth[rows]].T  # true pairs on the diagonal
+            b = len(rows)
+            ce_row = np.mean([np.log(np.exp(s[i]).sum()) - s[i, i]
+                              for i in range(b)])
+            ce_col = np.mean([np.log(np.exp(s[:, j]).sum()) - s[j, j]
+                              for j in range(b)])
+            expected += (b / 7) * 0.5 * (ce_row + ce_col) / np.log(b)
+        assert self.match_value(h1, h2, truth, log_scale) == pytest.approx(
+            expected, abs=1e-12)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(7)
+        truth = rng.permutation(7)
+        store = ParamStore()
+        register_logit_scale(store, log_scale=0.3)
+        register_aux_params(store, 4, 2, 3, seed=1)
+        store.register("h1", rng.standard_normal((7, 4)))
+        store.register("h2", rng.standard_normal((7, 4)))
+        aux = (rng.standard_normal((7, 2)), rng.standard_normal((7, 3)))
+
+        def build(tape):
+            return matching_losses(tape, tape.param("h1"), tape.param("h2"),
+                                   truth, aux_targets=aux)[0]
+
+        assert finite_difference_check(build, store) < GRADCHECK_TOL
+
+    def test_training_builds_no_n_by_n_scores(self, monkeypatch):
+        monkeypatch.setattr(matching, "MATCH_BLOCK", 128)
+        shapes = []
+        matmul = Tape.matmul
+
+        def recording_matmul(self, a, b, transpose_b=False):
+            out = matmul(self, a, b, transpose_b)
+            shapes.append(self.value(out).shape)
+            return out
+
+        monkeypatch.setattr(Tape, "matmul", recording_matmul)
+        ds = generate_synthetic(n_cells=600, seed=3)
+        cfg = MatcherConfig(reduce_rank=12)
+        cfg.conv.hidden_dim = 16
+        protocol = TrainProtocol(patience_epochs=2, max_epochs=2, seed=0)
+        train_matcher(ds.modality_1, ds.modality_2, ds.correspondence,
+                      protocol, cfg)
+        n_train = len(split_cells(600, protocol.split_fraction, 0)[0])
+        assert n_train > 128
+        assert (n_train, 16) in shapes  # the MLP ran on the training rows
+        assert max(min(shape) for shape in shapes) == 128  # full blocks
 
 
 class TestScoreProbabilities:
