@@ -38,8 +38,10 @@ print(f"  competition score (one-hot assignment) "
 print(f"  competition score (softmax probabilities) "
       f"{scores['score_softmax']:.2f}  (uniform scores 1.0)")
 
-# the probability views are stochastic within each shared batch
-row_sums = output.row_prob.sum(axis=1)
+# inference keeps one probability block per shared batch, and each block's
+# row softmax is stochastic
+row_sums = np.concatenate([row_prob.sum(axis=1)
+                           for _, _, row_prob, _ in output.blocks])
 print(f"  row-probability sums: min {row_sums.min():.6f}, "
       f"max {row_sums.max():.6f}")
 

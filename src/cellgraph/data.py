@@ -107,6 +107,8 @@ def load_sparse_matrix(path) -> SparseMatrix:
         n_rows, n_cols, nnz = (int(tok) for tok in lines[1].split())
     except ValueError as exc:
         raise ValueError(f"{path}:2: malformed size line: {lines[1]!r}") from exc
+    if min(n_rows, n_cols, nnz) < 0:
+        raise ValueError(f"{path}:2: negative size: {lines[1]!r}")
     rows, cols, vals = [], [], []
     for lineno, line in enumerate(lines[2:], start=3):
         if not line.strip():
@@ -189,10 +191,22 @@ def write_labels(ids, names, path):
             fh.write(("NA" if i == UNLABELED else names[i]) + "\n")
 
 
-def load_real_array(path) -> np.ndarray:
+def _load_numbers(path, parse) -> list:
+    """One number per non-blank line, read with parse."""
+    values = []
     with open(path, encoding="utf-8") as fh:
-        values = [float(line) for line in fh if line.strip()]
-    return np.asarray(values, dtype=np.float64)
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    values.append(parse(line))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: not a number: "
+                                     f"{line.strip()!r}") from exc
+    return values
+
+
+def load_real_array(path) -> np.ndarray:
+    return np.asarray(_load_numbers(path, float), dtype=np.float64)
 
 
 def write_real_array(values, path):
@@ -202,9 +216,7 @@ def write_real_array(values, path):
 
 
 def load_index_array(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return np.asarray([int(line) for line in fh if line.strip()],
-                          dtype=np.int64)
+    return np.asarray(_load_numbers(path, int), dtype=np.int64)
 
 
 def write_index_array(values, path):

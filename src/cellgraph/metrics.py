@@ -20,22 +20,24 @@ import numpy as np
 
 @dataclass
 class KnnGraph:
-    """Exact k-nearest-neighbor lists, sorted by (distance, index)."""
+    """Exact k-nearest-neighbor lists, sorted by (distance, index): row i of
+    the (n, k) arrays holds node i's neighbors and their distances."""
 
     n_nodes: int
     k: int
-    neighbors: list[np.ndarray]
-    distances: list[np.ndarray]
+    neighbors: np.ndarray
+    distances: np.ndarray
 
     def undirected_edges(self):
-        """Each kNN edge once as (i, j, distance), symmetrized by union."""
-        seen = {}
-        for i in range(self.n_nodes):
-            for j, d in zip(self.neighbors[i], self.distances[i]):
-                key = (min(i, int(j)), max(i, int(j)))
-                if key not in seen:
-                    seen[key] = float(d)
-        return [(i, j, d) for (i, j), d in sorted(seen.items())]
+        """Each kNN edge once as (i, j, distance), symmetrized by union and
+        sorted; an edge listed from both ends keeps the first distance."""
+        n = self.n_nodes
+        src = np.repeat(np.arange(n, dtype=np.int64), self.k)
+        dst = self.neighbors.reshape(-1)
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        _, first = np.unique(lo * n + hi, return_index=True)
+        return list(zip(lo[first].tolist(), hi[first].tolist(),
+                        self.distances.reshape(-1)[first].tolist()))
 
 
 def knn_graph(points: np.ndarray, k: int) -> KnnGraph:
@@ -48,14 +50,13 @@ def knn_graph(points: np.ndarray, k: int) -> KnnGraph:
     sq = (pts * pts).sum(axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * pts @ pts.T, 0.0)
     dist = np.sqrt(d2)
-    neighbors, distances = [], []
+    neighbors = np.empty((n, k_eff), dtype=np.int64)
     idx = np.arange(n)
     for i in range(n):
         order = np.lexsort((idx, dist[i]))
-        order = order[order != i][:k_eff]
-        neighbors.append(order.astype(np.int64))
-        distances.append(dist[i, order])
-    return KnnGraph(n, k_eff, neighbors, distances)
+        neighbors[i] = order[order != i][:k_eff]
+    return KnnGraph(n, k_eff, neighbors,
+                    np.take_along_axis(dist, neighbors, axis=1))
 
 
 def pseudotime_from_root(g: KnnGraph, root: int) -> np.ndarray:

@@ -5,11 +5,11 @@ from .common import (EpochRecord, TrainProtocol, run_training, split_cells,
 from .embedding import (EmbedConfig, EmbedModel, JointEmbedding,
                         joint_embedding_loss, pca_concat_baseline,
                         register_embed_params, train_joint_embedding)
-from .matching import (MatcherConfig, MatcherModel, MatchOutput,
-                       competition_match_score, logit_scale, match_inference,
-                       match_scores, matching_losses, reduce_modality,
-                       register_aux_params, register_logit_scale,
-                       score_probabilities, train_matcher)
+from .matching import (MatcherConfig, MatcherModel, MatchOutput, logit_scale,
+                       match_inference, match_scores, matching_losses,
+                       reduce_modality, register_aux_params,
+                       register_logit_scale, score_probabilities,
+                       train_matcher)
 from .prediction import (PredictionModel, mean_predictor_rmse, rmse_loss,
                          svd_linear_baseline, train_prediction)
 
@@ -18,10 +18,10 @@ __all__ = [
     "write_run_log",
     "EmbedConfig", "EmbedModel", "JointEmbedding", "joint_embedding_loss",
     "pca_concat_baseline", "register_embed_params", "train_joint_embedding",
-    "MatcherConfig", "MatcherModel", "MatchOutput", "competition_match_score",
-    "logit_scale", "match_inference", "match_scores", "matching_losses",
-    "reduce_modality", "register_aux_params", "register_logit_scale",
-    "score_probabilities", "train_matcher",
+    "MatcherConfig", "MatcherModel", "MatchOutput", "logit_scale",
+    "match_inference", "match_scores", "matching_losses", "reduce_modality",
+    "register_aux_params", "register_logit_scale", "score_probabilities",
+    "train_matcher",
     "PredictionModel", "mean_predictor_rmse", "rmse_loss",
     "svd_linear_baseline", "train_prediction",
 ]

@@ -156,30 +156,19 @@ def score_probabilities(score: np.ndarray, scale: float = 1.0):
     return row, col
 
 
-def competition_match_score(prob: np.ndarray, truth) -> float:
-    """Probability mass placed on the true correspondences."""
-    prob = np.asarray(prob, dtype=np.float64)
-    t = np.asarray(truth, dtype=np.int64)
-    return float(prob[np.arange(len(t)), t].sum())
-
-
 @dataclass
 class MatchOutput:
-    """Scores, probability views and the assignment for one inference run.
+    """The assignment and the probability blocks of one inference run.
 
-    score holds the raw cosine similarities, the matrix the percentile
-    filter and the assignment see; the probabilities are softmaxes of the
-    scaled scores. Probabilities are blockwise within shared batches:
-    rows/columns whose batch is missing on the other side are all zero and
-    listed in unmatched_left/unmatched_right.
+    blocks holds one (rows, cols, row_prob, col_prob) per batch that both
+    sides share: rows and cols are the batch's ascending row indices in
+    each modality, and the probabilities are the row and the column
+    softmaxes of the block's cosine scores times the logit scale. Rows in
+    no shared batch lie in no block and no pair.
     """
 
-    score: np.ndarray
-    row_prob: np.ndarray
-    col_prob: np.ndarray
     assignment: list[tuple[int, int]]
-    unmatched_left: list[int] = field(default_factory=list)
-    unmatched_right: list[int] = field(default_factory=list)
+    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 
 def match_inference(h1, h2, batch_labels_1, batch_labels_2,
@@ -199,41 +188,37 @@ def match_inference(h1, h2, batch_labels_1, batch_labels_2,
     b2 = np.asarray(batch_labels_2)
     if len(b1) != h1.shape[0] or len(b2) != h2.shape[0]:
         raise ValueError("batch labels must align with embedding rows")
-    n1, n2 = h1.shape[0], h2.shape[0]
-    score = np.zeros((n1, n2))
-    row_prob = np.zeros((n1, n2))
-    col_prob = np.zeros((n1, n2))
     pairs: list[tuple[int, int]] = []
-    shared = sorted(set(b1.tolist()) & set(b2.tolist()))
-    for batch in shared:
+    blocks = []
+    for batch in sorted(set(b1.tolist()) & set(b2.tolist())):
         idx1 = np.flatnonzero(b1 == batch)
         idx2 = np.flatnonzero(b2 == batch)
         block = l2_normalize_rows(h1[idx1]) @ l2_normalize_rows(h2[idx2]).T
-        score[np.ix_(idx1, idx2)] = block
-        rp, cp = score_probabilities(block, scale)
-        row_prob[np.ix_(idx1, idx2)] = rp
-        col_prob[np.ix_(idx1, idx2)] = cp
+        blocks.append((idx1, idx2, *score_probabilities(block, scale)))
         keep = percentile_filter(block, percentile)
         result = solve(AssignmentProblem(block, keep))
         pairs.extend((int(idx1[i]), int(idx2[j])) for i, j in result.pairs)
-    matched_left = {i for i, _ in pairs}
-    matched_right = {j for _, j in pairs}
-    unmatched_left = [i for i in range(n1) if i not in matched_left]
-    unmatched_right = [j for j in range(n2) if j not in matched_right]
-    return MatchOutput(score, row_prob, col_prob, sorted(pairs),
-                       unmatched_left, unmatched_right)
+    return MatchOutput(sorted(pairs), blocks)
 
 
 def match_scores(output: MatchOutput, truth) -> dict[str, float]:
-    """Symmetric softmax score, one-hot assignment score, top-1 accuracy."""
+    """Symmetric softmax score, one-hot assignment score, top-1 accuracy.
+
+    The softmax score averages the row and the column probability mass on
+    the true pairs; a true pair outside every block scores 0.
+    """
     t = np.asarray(truth, dtype=np.int64)
-    softmax_score = 0.5 * (
-        competition_match_score(output.row_prob, t)
-        + competition_match_score(output.col_prob, t)
-    )
+    # each row's true-partner probability, in row order, per softmax
+    on_truth = np.zeros((2, len(t)))
+    for rows, cols, row_prob, col_prob in output.blocks:
+        partner = t[rows]
+        at = np.minimum(np.searchsorted(cols, partner), len(cols) - 1)
+        hit = cols[at] == partner
+        on_truth[0, rows[hit]] = row_prob[hit, at[hit]]
+        on_truth[1, rows[hit]] = col_prob[hit, at[hit]]
     correct = sum(1 for i, j in output.assignment if t[i] == j)
     return {
-        "score_softmax": float(softmax_score),
+        "score_softmax": float(0.5 * (on_truth[0].sum() + on_truth[1].sum())),
         "score_assignment": float(correct),
         "top1_accuracy": correct / len(t),
     }

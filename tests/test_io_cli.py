@@ -63,6 +63,13 @@ class TestSparseMatrixFile:
         with pytest.raises(ValueError, match=":3:.*non-numeric"):
             load_sparse_matrix(path)
 
+    def test_negative_size_reports_line(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "-1 3 0\n")
+        with pytest.raises(ValueError, match=":2: negative size"):
+            load_sparse_matrix(path)
+
 
 class TestLabels:
     def test_interning(self, tmp_path):
@@ -182,6 +189,27 @@ class TestGenerateSynthetic:
         save_dataset(ds, tmp_path)
         with pytest.raises(ValueError, match=re.escape(f"{tmp_path}: ")
                            + "correspondence must be a permutation"):
+            load_dataset(tmp_path)
+
+    def test_non_numeric_correspondence_reports_line(self, tmp_path):
+        save_dataset(generate_synthetic(40, seed=8), tmp_path)
+        path = tmp_path / "correspondence.txt"
+        lines = path.read_text().splitlines()
+        lines[2] = "x7"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")
+                           + "not a number: 'x7'"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("name", ["pseudotime.txt", "cc_scores.txt"])
+    def test_non_numeric_real_array_reports_line(self, tmp_path, name):
+        save_dataset(generate_synthetic(40, seed=8), tmp_path)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        lines[4] = "0.5.1"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:5: ")
+                           + "not a number"):
             load_dataset(tmp_path)
 
     def test_aligned_modality_2_permutes_rows_sparsely(self):

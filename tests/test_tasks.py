@@ -7,8 +7,8 @@ from cellgraph.data import generate_synthetic
 from cellgraph.gradcheck import GRADCHECK_TOL
 from cellgraph.graph import EdgeScaling, build_bipartite
 from cellgraph.linalg import SparseMatrix, l2_normalize_rows
-from cellgraph.tasks import (EmbedConfig, MatcherConfig, TrainProtocol,
-                             competition_match_score, joint_embedding_loss,
+from cellgraph.tasks import (EmbedConfig, MatcherConfig, MatchOutput,
+                             TrainProtocol, joint_embedding_loss,
                              match_inference, match_scores, matching_losses,
                              mean_predictor_rmse, pca_concat_baseline,
                              register_aux_params, register_embed_params,
@@ -217,27 +217,36 @@ class TestScoreProbabilities:
             assert np.abs(cp.sum(axis=0) - 1).max() < 1e-6
 
 
+def one_block(prob, col_prob=None):
+    """Output whose one block spans every row and column of prob."""
+    rows, cols = np.arange(prob.shape[0]), np.arange(prob.shape[1])
+    col_prob = prob if col_prob is None else col_prob
+    return MatchOutput(assignment=[], blocks=[(rows, cols, prob, col_prob)])
+
+
 class TestCompetitionScore:
     def test_one_hot_perfect(self):
         n = 6
         t = np.random.default_rng(5).permutation(n)
         prob = np.zeros((n, n))
         prob[np.arange(n), t] = 1.0
-        assert competition_match_score(prob, t) == float(n)
+        assert match_scores(one_block(prob), t)["score_softmax"] == float(n)
 
     def test_uniform_chance_level(self):
         n = 8
         prob = np.full((n, n), 1.0 / n)
-        assert competition_match_score(prob, np.arange(n)) \
+        assert match_scores(one_block(prob), np.arange(n))["score_softmax"] \
             == pytest.approx(1.0)
 
     def test_matches_direct_indexing(self):
         rng = np.random.default_rng(6)
-        prob = rng.random((7, 7))
-        prob /= prob.sum(axis=1, keepdims=True)
+        rp, cp = rng.random((7, 7)), rng.random((7, 7))
+        rp /= rp.sum(axis=1, keepdims=True)
+        cp /= cp.sum(axis=0, keepdims=True)
         t = rng.permutation(7)
-        direct = sum(prob[i, t[i]] for i in range(7))
-        assert competition_match_score(prob, t) == pytest.approx(direct)
+        direct = 0.5 * sum(rp[i, t[i]] + cp[i, t[i]] for i in range(7))
+        assert match_scores(one_block(rp, cp), t)["score_softmax"] \
+            == pytest.approx(direct)
 
 
 class TestMatchInference:
@@ -284,11 +293,42 @@ class TestMatchInference:
         b1 = np.array([0, 0, 7, 7])  # batch 7 absent on the right
         b2 = np.array([0, 0, 1, 1])
         out = match_inference(h1, h2, b1, b2, percentile=0.0)
-        assert 2 in out.unmatched_left and 3 in out.unmatched_left
-        assert 2 in out.unmatched_right and 3 in out.unmatched_right
-        assert np.all(out.row_prob[2] == 0)
+        assert len(out.blocks) == 1
+        rows, cols, row_prob, _ = out.blocks[0]
+        assert rows.tolist() == [0, 1] and cols.tolist() == [0, 1]
+        for i, j in out.assignment:
+            assert i not in (2, 3) and j not in (2, 3)
         # matched block rows are stochastic
-        assert out.row_prob[0].sum() == pytest.approx(1.0, abs=1e-9)
+        assert row_prob[0].sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n_batches", [2, 3])
+    def test_blocks_only_and_softmax_score_bit_identical(self, n_batches):
+        rng = np.random.default_rng(20 + n_batches)
+        for _ in range(5):
+            n = int(rng.integers(20, 60))
+            h1 = rng.standard_normal((n, 4))
+            h2 = rng.standard_normal((n, 4))
+            t = rng.permutation(n)
+            b1 = rng.integers(0, n_batches, n)
+            b2 = np.empty(n, dtype=np.int64)
+            b2[t] = b1
+            moved = rng.random(n) < 0.1  # true pairs across batches
+            b2[moved] = rng.integers(0, n_batches, moved.sum())
+            out = match_inference(h1, h2, b1, b2, percentile=30.0,
+                                  scale=7.0)
+            largest = max(np.bincount(b1).max(), np.bincount(b2).max())
+            for block in out.blocks:
+                for a in block:
+                    assert a.ndim == 1 or min(a.shape) <= largest
+            # the softmax score of the n x n probability arrays the blocks
+            # replace, filled by scattering each block
+            row_prob, col_prob = np.zeros((n, n)), np.zeros((n, n))
+            for rows, cols, rp, cp in out.blocks:
+                row_prob[np.ix_(rows, cols)] = rp
+                col_prob[np.ix_(rows, cols)] = cp
+            old = 0.5 * (float(row_prob[np.arange(n), t].sum())
+                         + float(col_prob[np.arange(n), t].sum()))
+            assert match_scores(out, t)["score_softmax"] == old
 
     def test_dual_symmetry(self):
         rng = np.random.default_rng(11)
