@@ -43,7 +43,7 @@ print(f"batch ASW, fully separated batches:       "
 halves = np.vstack([rng.normal(0, 0.1, (20, 2)),
                     rng.normal(100, 0.1, (20, 2))])
 print(f"graph connectivity of a split type: "
-      f"{graph_connectivity(halves, np.zeros(40), knn_k=3):.3f}")
+      f"{graph_connectivity(knn_graph(halves, 3), np.zeros(40)):.3f}")
 
 # --- Louvain + NMI: planted clusters are recovered ---------------------------
 planted = np.vstack([rng.normal(c * 6, 0.4, (25, 3)) for c in range(3)])

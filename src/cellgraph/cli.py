@@ -229,34 +229,30 @@ def _run_embed(cfg: RunConfig) -> int:
 def _metric_suite(embedding, cell_types, batch_labels, knn_k,
                   pseudotime_before=None, cc_scores=None, pre_embedding=None,
                   seed: int = 0) -> met.MetricReport:
-    """The six metrics plus aggregation; self-comparison fallbacks score 1."""
-    nmi_score = met.nmi_cluster_label(embedding, cell_types, knn_k, seed)
+    """The six metrics on one kNN graph; a missing input's metric is nan."""
+    g = met.knn_graph(embedding, knn_k)
+    nmi_score = met.nmi_cluster_label(g, cell_types, seed)
     asw = met.cell_type_asw(embedding, cell_types)
     basw = met.batch_asw(embedding, batch_labels, cell_types)
-    connectivity = met.graph_connectivity(embedding, cell_types, knn_k)
+    connectivity = met.graph_connectivity(g, cell_types)
+    traj = cc = float("nan")
     if pseudotime_before is not None:
-        g = met.knn_graph(np.asarray(embedding, dtype=np.float64), knn_k)
         root = int(np.argmin(pseudotime_before))
         after = met.pseudotime_from_root(g, root)
         traj = met.trajectory_conservation(pseudotime_before, after)
     else:
-        warnings.warn("no pseudotime supplied; trajectory conservation "
-                      "defaults to 1 (self comparison)")
-        traj = 1.0
+        warnings.warn("no pseudotime supplied; trajectory conservation is "
+                      "left out (nan)")
     if cc_scores is not None and pre_embedding is not None:
-        batches = np.asarray(batch_labels)
         var_before = {
-            b: met.variance_explained(
-                np.asarray(cc_scores)[batches == b],
-                np.asarray(pre_embedding)[batches == b])
-            for b in np.unique(batches)
-        }
+            b: met.variance_explained(cc_scores[batch_labels == b],
+                                      pre_embedding[batch_labels == b])
+            for b in np.unique(batch_labels)}
         cc = met.cell_cycle_conservation(cc_scores, embedding, batch_labels,
                                          var_before)
     else:
-        warnings.warn("no cell-cycle inputs supplied; conservation defaults "
-                      "to 1 (self comparison)")
-        cc = 1.0
+        warnings.warn("no cell-cycle inputs supplied; cell-cycle "
+                      "conservation is left out (nan)")
     return met.aggregate(nmi_score, asw, cc, traj, basw, connectivity)
 
 
@@ -269,6 +265,15 @@ def _run_eval(args, cfg: RunConfig) -> int:
     cc_scores = dio.load_real_array(args.cc_scores) if args.cc_scores else None
     pre_embedding = (dio.load_dense_matrix(args.pre_embedding)
                      if args.pre_embedding else None)
+    n = embedding.shape[0]
+    for path, values in ((args.labels, cell_types),
+                         (args.batches, batch_labels),
+                         (args.pseudotime, pseudotime),
+                         (args.cc_scores, cc_scores),
+                         (args.pre_embedding, pre_embedding)):
+        if values is not None and len(values) != n:
+            raise ValueError(f"{path}: {len(values)} entries, but the "
+                             f"embedding {args.embedding} has {n} rows")
     report = _metric_suite(embedding, cell_types, batch_labels, cfg.knn_k,
                            pseudotime, cc_scores, pre_embedding, cfg.seed)
     out = _out_dir(cfg, ".")

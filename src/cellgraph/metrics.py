@@ -1,8 +1,8 @@
 """Evaluation metrics for the joint-embedding task plus shared graph tools.
 
-Everything is exact (full pairwise distances, exact kNN, exhaustive
-connected components); no subsampling or approximate neighbors. All
-functions are pure.
+Everything is exact (all pairwise distances, in row blocks that hold no
+n x n array; exact kNN; exhaustive connected components); no subsampling
+or approximate neighbors. All functions are pure.
 """
 
 from __future__ import annotations
@@ -40,6 +40,26 @@ class KnnGraph:
                         self.distances.reshape(-1)[first].tolist()))
 
 
+# entries per distance block; inputs of up to 2048 points take one block
+_DISTANCE_BLOCK = 1 << 22
+
+
+def _distance_blocks(points: np.ndarray):
+    """Yield (rows, block): Euclidean distances from the slice `rows` of
+    `points` to every row, at most `_DISTANCE_BLOCK` entries per block."""
+    n = len(points)
+    sq = (points * points).sum(axis=1)
+    step = max(1, _DISTANCE_BLOCK // max(n, 1))
+    for start in range(0, n, step):
+        rows = slice(start, min(n, start + step))
+        d = sq[rows, None] + sq[None, :]
+        d -= (2.0 * points[rows]) @ points.T
+        np.sqrt(np.maximum(d, 0.0, out=d), out=d)
+        # the expansion leaves rounding noise where d(i, i) is exactly 0
+        d[np.arange(len(d)), np.arange(n)[rows]] = 0.0
+        yield rows, d
+
+
 def knn_graph(points: np.ndarray, k: int) -> KnnGraph:
     """Brute-force exact neighbors; ties broken toward the lower index."""
     pts = np.asarray(points, dtype=np.float64)
@@ -47,16 +67,15 @@ def knn_graph(points: np.ndarray, k: int) -> KnnGraph:
     if k < 1:
         raise ValueError("k must be >= 1")
     k_eff = min(k, n - 1)
-    sq = (pts * pts).sum(axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * pts @ pts.T, 0.0)
-    dist = np.sqrt(d2)
     neighbors = np.empty((n, k_eff), dtype=np.int64)
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, dist[i]))
-        neighbors[i] = order[order != i][:k_eff]
-    return KnnGraph(n, k_eff, neighbors,
-                    np.take_along_axis(dist, neighbors, axis=1))
+    distances = np.empty((n, k_eff))
+    for rows, dist in _distance_blocks(pts):
+        dist[np.arange(len(dist)), np.arange(n)[rows]] = -1.0  # self first
+        # a stable sort keeps equal distances in index order
+        nb = np.argsort(dist, axis=1, kind="stable")[:, 1:k_eff + 1]
+        neighbors[rows] = nb
+        distances[rows] = np.take_along_axis(dist, nb, axis=1)
+    return KnnGraph(n, k_eff, neighbors, distances)
 
 
 def pseudotime_from_root(g: KnnGraph, root: int) -> np.ndarray:
@@ -85,40 +104,30 @@ def pseudotime_from_root(g: KnnGraph, root: int) -> np.ndarray:
     return dist
 
 
-def _connected_components(n: int, edges) -> np.ndarray:
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    return np.array([find(i) for i in range(n)])
+def _connected_components(n: int, src: np.ndarray, dst: np.ndarray):
+    """Label each node with the smallest node of its component: min-label
+    propagation over the edges, with pointer jumping."""
+    comp = np.arange(n)
+    while True:
+        new = comp.copy()
+        np.minimum.at(new, src, comp[dst])
+        np.minimum.at(new, dst, comp[src])
+        new = new[new]
+        if np.array_equal(new, comp):
+            return comp
+        comp = new
 
 
-def graph_connectivity(embedding, cell_types, knn_k: int = 15) -> float:
+def graph_connectivity(g: KnnGraph, cell_types) -> float:
     """Mean, over types, of the largest-component fraction of the type's
     induced kNN subgraph."""
-    types = np.asarray(cell_types)
-    g = knn_graph(np.asarray(embedding, dtype=np.float64), knn_k)
-    scores = []
-    for t in np.unique(types):
-        members = np.flatnonzero(types == t)
-        local = {int(m): pos for pos, m in enumerate(members)}
-        edges = [
-            (local[i], local[j])
-            for i, j, _ in g.undirected_edges()
-            if i in local and j in local
-        ]
-        comp = _connected_components(len(members), edges)
-        _, counts = np.unique(comp, return_counts=True)
-        scores.append(counts.max() / len(members))
-    return float(np.mean(scores))
+    _, types = np.unique(cell_types, return_inverse=True)
+    src, col = np.nonzero(types[:, None] == types[g.neighbors])
+    # these edges join cells of one type, so each component lies in a type
+    comp = _connected_components(g.n_nodes, src, g.neighbors[src, col])
+    largest = np.zeros(types.max() + 1, dtype=np.int64)
+    np.maximum.at(largest, types, np.bincount(comp)[comp])
+    return float(np.mean(largest / np.bincount(types)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +277,8 @@ def nmi(labels_a, labels_b) -> float:
     return float(min(1.0, max(0.0, mi / ((ha + hb) / 2.0))))
 
 
-def nmi_cluster_label(embedding, labels, knn_k: int = 15, seed: int = 0) -> float:
+def nmi_cluster_label(g: KnnGraph, labels, seed: int = 0) -> float:
     """Best NMI against `labels` over a Louvain resolution sweep 0.1..2.0."""
-    g = knn_graph(np.asarray(embedding, dtype=np.float64), knn_k)
     best = 0.0
     for step in range(1, 21):
         clusters = louvain(g, resolution=step / 10.0, seed=seed)
@@ -282,36 +290,30 @@ def nmi_cluster_label(embedding, labels, knn_k: int = 15, seed: int = 0) -> floa
 # silhouettes
 
 
-def _silhouette_samples(dist: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    uniq = np.unique(labels)
+def _silhouette_samples(points, labels) -> np.ndarray:
+    uniq, inv = np.unique(labels, return_inverse=True)
     if len(uniq) < 2:
         raise ValueError("silhouette needs at least 2 distinct labels")
-    s = np.zeros(len(labels))
-    for i in range(len(labels)):
-        own = labels == labels[i]
-        n_own = own.sum()
-        if n_own <= 1:
-            s[i] = 0.0  # singleton cluster convention
-            continue
-        a = dist[i, own].sum() / (n_own - 1)
-        b = min(dist[i, labels == other].mean()
-                for other in uniq if other != labels[i])
-        denom = max(a, b)
-        s[i] = 0.0 if denom == 0 else (b - a) / denom
-    return s
-
-
-def _pairwise(points: np.ndarray) -> np.ndarray:
-    sq = (points * points).sum(axis=1)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * points @ points.T, 0.0)
-    return np.sqrt(d2)
+    counts = np.bincount(inv)
+    member = (inv[:, None] == np.arange(len(uniq))).astype(np.float64)
+    # sums[i, l]: distance from cell i to all cells labeled l
+    sums = np.vstack([dist @ member for _, dist in
+                      _distance_blocks(np.asarray(points, dtype=np.float64))])
+    cells = np.arange(len(inv))
+    own = counts[inv]
+    a = sums[cells, inv] / np.maximum(own - 1, 1)
+    mean_other = sums / counts
+    mean_other[cells, inv] = np.inf
+    b = mean_other.min(axis=1)
+    denom = np.maximum(a, b)
+    # singleton clusters and all-zero distances score 0 by convention
+    return np.divide(b - a, denom, out=np.zeros(len(inv)),
+                     where=(own > 1) & (denom > 0))
 
 
 def silhouette_asw(points, labels) -> float:
     """Mean silhouette width in [-1, 1]."""
-    pts = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels)
-    return float(_silhouette_samples(_pairwise(pts), labels).mean())
+    return float(_silhouette_samples(points, labels).mean())
 
 
 def cell_type_asw(embedding, cell_types) -> float:
@@ -333,8 +335,7 @@ def batch_asw(embedding, batch_labels, cell_types) -> float:
         members = types == t
         if len(np.unique(batches[members])) < 2:
             continue
-        d = _pairwise(pts[members])
-        s = _silhouette_samples(d, batches[members])
+        s = _silhouette_samples(pts[members], batches[members])
         scores.append(float((1.0 - np.abs(s)).mean()))
     if not scores:
         raise ValueError("no cell type contains two or more batches")
@@ -385,17 +386,9 @@ def cell_cycle_conservation(program_scores, embedding, batch_labels,
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inv, counts = np.unique(values, return_inverse=True,
+                               return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inv]
 
 
 def spearman(a, b) -> float:
@@ -445,9 +438,10 @@ class MetricReport:
 
 def aggregate(nmi_score, cell_type_asw_score, cc_score, trajectory_score,
               batch_asw_score, connectivity_score) -> MetricReport:
-    """Equal weights within each class, then 0.6 bio + 0.4 batch."""
-    s_bio = float(np.mean([nmi_score, cell_type_asw_score, cc_score,
-                           trajectory_score]))
+    """Equal weights within each class, then 0.6 bio + 0.4 batch. A bio
+    metric given as nan (its input missing) is left out of s_bio."""
+    s_bio = float(np.nanmean([nmi_score, cell_type_asw_score, cc_score,
+                              trajectory_score]))
     s_batch = float(np.mean([batch_asw_score, connectivity_score]))
     return MetricReport(
         nmi=nmi_score,

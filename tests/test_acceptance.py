@@ -20,7 +20,8 @@ from cellgraph.gradcheck import run_gradient_checks
 from cellgraph.graph import EdgeScaling, build_bipartite
 from cellgraph.linalg import SparseMatrix, symmetric_edge_normalize
 from cellgraph.metrics import (aggregate, cell_type_asw, graph_connectivity,
-                               nmi, nmi_cluster_label, trajectory_conservation)
+                               knn_graph, nmi, nmi_cluster_label,
+                               trajectory_conservation)
 from cellgraph.tasks import (EmbedConfig, MatcherConfig, TrainProtocol,
                              match_inference, match_scores,
                              pca_concat_baseline, score_probabilities,
@@ -188,8 +189,8 @@ def test_criterion_08_joint_embedding_skill():
                             noise=0.3, dropout=0.6, seed=21)
     m2 = ds.modality_2_aligned()
     baseline = nmi_cluster_label(
-        pca_concat_baseline(ds.modality_1, m2, rank=32, seed=0),
-        ds.cell_type_labels, knn_k=15, seed=0)
+        knn_graph(pca_concat_baseline(ds.modality_1, m2, rank=32, seed=0), 15),
+        ds.cell_type_labels, seed=0)
     margins = []
     for seed in (0, 1, 2):
         protocol = TrainProtocol(patience_epochs=100, max_epochs=500,
@@ -197,8 +198,8 @@ def test_criterion_08_joint_embedding_skill():
         model = train_joint_embedding(ds.modality_1, m2,
                                       ds.cell_type_labels, protocol,
                                       EmbedConfig())
-        score = nmi_cluster_label(model.embed().embedding,
-                                  ds.cell_type_labels, knn_k=15, seed=0)
+        score = nmi_cluster_label(knn_graph(model.embed().embedding, 15),
+                                  ds.cell_type_labels, seed=0)
         margins.append(score - baseline)
     assert all(m >= 0.05 for m in margins), (baseline, margins)
     report(8, f"NMI margins over PCA-concat baseline ({baseline:.3f}): "
@@ -223,7 +224,7 @@ def test_criterion_09_metric_identities():
     blobs = np.vstack([rng.normal(0, 0.05, (10, 2)),
                        rng.normal(40, 0.05, (10, 2))])
     types = np.repeat([0, 1], 10)
-    assert graph_connectivity(blobs, types, knn_k=4) == 1.0
+    assert graph_connectivity(knn_graph(blobs, 4), types) == 1.0
 
     assert abs(aggregate(1, 1, 1, 1, 1, 1).overall - 1.0) < 1e-9
     assert abs(aggregate(1, 1, 1, 1, 0, 0).overall - 0.6) < 1e-9

@@ -12,8 +12,8 @@ from cellgraph.config import (ConfigError, RunConfig, apply_setting,
 from cellgraph.data import (Dataset, generate_synthetic, load_dataset,
                             load_gene_sets, load_labels, load_real_array,
                             load_sparse_matrix, read_kv, save_dataset,
-                            write_kv, write_labels, write_real_array,
-                            write_sparse_matrix)
+                            write_dense_matrix, write_kv, write_labels,
+                            write_real_array, write_sparse_matrix)
 from cellgraph.linalg import SparseMatrix
 
 
@@ -422,13 +422,15 @@ class TestCli:
         metrics = read_kv(out / "metrics.kv")
         assert len(metrics) == 9
         eval_out = tmp_path / "eval"
-        code = run_cli("eval",
-                       "--embedding", str(out / "embedding.mtx"),
-                       "--labels", str(synth_dir / "types.txt"),
-                       "--batches", str(synth_dir / "batches.txt"),
-                       "--pseudotime", str(synth_dir / "pseudotime.txt"),
-                       "--knn-k", "6",
-                       "--out", str(eval_out))
+        with pytest.warns(UserWarning, match="cell-cycle conservation is "
+                                             "left out"):
+            code = run_cli("eval",
+                           "--embedding", str(out / "embedding.mtx"),
+                           "--labels", str(synth_dir / "types.txt"),
+                           "--batches", str(synth_dir / "batches.txt"),
+                           "--pseudotime", str(synth_dir / "pseudotime.txt"),
+                           "--knn-k", "6",
+                           "--out", str(eval_out))
         assert code == 0
         report = read_kv(eval_out / "metrics.kv")
         assert len(report) == 9
@@ -437,20 +439,72 @@ class TestCli:
                                "graph_connectivity", "s_bio", "s_batch",
                                "overall"}
 
-    def test_eval_minimal_inputs_has_nine_keys(self, synth_dir, tmp_path,
-                                               recwarn):
+    def test_eval_minimal_inputs_has_nine_keys(self, synth_dir, tmp_path):
         emb_out = tmp_path / "embed2"
         assert run_cli("embed", "--data", str(synth_dir), "--seed", "2",
                        "--out", str(emb_out), *fast_overrides()) == 0
         eval_out = tmp_path / "eval2"
-        code = run_cli("eval",
-                       "--embedding", str(emb_out / "embedding.mtx"),
-                       "--labels", str(synth_dir / "types.txt"),
-                       "--batches", str(synth_dir / "batches.txt"),
-                       "--knn-k", "6",
-                       "--out", str(eval_out))
+        with pytest.warns(UserWarning, match="left out") as caught:
+            code = run_cli("eval",
+                           "--embedding", str(emb_out / "embedding.mtx"),
+                           "--labels", str(synth_dir / "types.txt"),
+                           "--batches", str(synth_dir / "batches.txt"),
+                           "--knn-k", "6",
+                           "--out", str(eval_out))
         assert code == 0
         assert len(read_kv(eval_out / "metrics.kv")) == 9
+        assert sum("left out" in str(w.message) for w in caught) == 2
+
+    def test_eval_without_cc_scores_leaves_it_out(self, synth_dir,
+                                                  tmp_path):
+        emb = tmp_path / "embedding.mtx"
+        write_dense_matrix(np.random.default_rng(3).standard_normal((120, 5)),
+                           emb)
+        with pytest.warns(UserWarning, match="cell-cycle conservation is "
+                                             "left out"):
+            code = run_cli("eval", "--embedding", str(emb),
+                           "--labels", str(synth_dir / "types.txt"),
+                           "--batches", str(synth_dir / "batches.txt"),
+                           "--pseudotime", str(synth_dir / "pseudotime.txt"),
+                           "--knn-k", "6", "--out", str(tmp_path / "eval"))
+        assert code == 0
+        report = read_kv(tmp_path / "eval" / "metrics.kv")
+        assert report["cc_conservation"] == "nan"
+        others = [float(report[name]) for name in
+                  ("nmi", "cell_type_asw", "trajectory_conservation")]
+        # each of the four values was rounded to 6 decimals by at most 5e-7
+        assert float(report["s_bio"]) == pytest.approx(np.mean(others),
+                                                       abs=1e-6)
+
+    @pytest.mark.parametrize("flag", ["--labels", "--batches", "--pseudotime",
+                                      "--cc-scores", "--pre-embedding"])
+    def test_eval_input_length_mismatch_exit_2(self, synth_dir, tmp_path,
+                                               capsys, flag):
+        rng = np.random.default_rng(4)
+        emb = tmp_path / "embedding.mtx"
+        write_dense_matrix(rng.standard_normal((120, 5)), emb)
+        write_dense_matrix(rng.standard_normal((120, 3)), tmp_path / "pre.mtx")
+        inputs = {"--labels": synth_dir / "types.txt",
+                  "--batches": synth_dir / "batches.txt",
+                  "--pseudotime": synth_dir / "pseudotime.txt",
+                  "--cc-scores": synth_dir / "cc_scores.txt",
+                  "--pre-embedding": tmp_path / "pre.mtx"}
+        short = tmp_path / ("short" + inputs[flag].suffix)
+        if flag == "--pre-embedding":
+            write_dense_matrix(rng.standard_normal((119, 3)), short)
+        else:
+            lines = inputs[flag].read_text().splitlines(keepends=True)
+            short.write_text("".join(lines[:-1]))
+        inputs[flag] = short
+        argv = ["eval", "--embedding", str(emb), "--knn-k", "6",
+                "--out", str(tmp_path / "eval")]
+        for name, path in inputs.items():
+            argv += [name, str(path)]
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert str(short) in err and "119 entries" in err
+        assert f"{emb} has 120 rows" in err
+        assert not (tmp_path / "eval" / "metrics.kv").exists()
 
     def test_gradcheck_exit_zero(self):
         assert run_cli("gradcheck", "--seeds", "2") == 0

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from cellgraph import metrics
+from cellgraph.cli import _metric_suite
 from cellgraph.metrics import (KnnGraph, MetricReport, aggregate, batch_asw,
                                cell_cycle_conservation, cell_type_asw,
                                graph_connectivity, knn_graph, louvain,
@@ -36,6 +38,12 @@ class TestKnnGraph:
             order = np.lexsort((np.arange(50), d))
             expected = [j for j in order if j != i][:5]
             assert g.neighbors[i].tolist() == expected
+
+    def test_matches_brute_force_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_DISTANCE_BLOCK", 3 * 50)
+        blocks = list(metrics._distance_blocks(np.zeros((50, 4))))
+        assert len(blocks) == 17
+        self.test_matches_brute_force()
 
     def test_k_clamped(self):
         g = knn_graph(np.random.default_rng(1).standard_normal((4, 2)), 10)
@@ -176,14 +184,14 @@ class TestNmiClusterLabel:
     def test_one_hot_embedding_reaches_one(self):
         labels = np.repeat([0, 1, 2], 12)
         emb = np.eye(3)[labels] * 10.0
-        assert nmi_cluster_label(emb, labels, knn_k=5, seed=0) \
+        assert nmi_cluster_label(knn_graph(emb, 5), labels, seed=0) \
             == pytest.approx(1.0)
 
     def test_noise_embedding_scores_low(self):
         rng = np.random.default_rng(8)
         labels = np.repeat([0, 1], 100)
         emb = rng.standard_normal((200, 5))
-        assert nmi_cluster_label(emb, labels, knn_k=10, seed=0) < 0.2
+        assert nmi_cluster_label(knn_graph(emb, 10), labels, seed=0) < 0.2
 
     def test_at_least_single_resolution_value(self):
         rng = np.random.default_rng(9)
@@ -191,10 +199,47 @@ class TestNmiClusterLabel:
         emb = np.eye(3)[labels] + rng.normal(0, 0.4, (45, 3))
         g = knn_graph(emb, 10)
         single = nmi(louvain(g, 1.0, seed=0), labels)
-        assert nmi_cluster_label(emb, labels, knn_k=10, seed=0) >= single
+        assert nmi_cluster_label(knn_graph(emb, 10), labels, seed=0) >= single
+
+
+def textbook_silhouettes(points, labels):
+    """Per-cell silhouettes straight from the definition."""
+    s = np.zeros(len(labels))
+    for i in range(len(labels)):
+        d = np.linalg.norm(points - points[i], axis=1)
+        own = labels == labels[i]
+        if own.sum() == 1:
+            continue
+        a = d[own].sum() / (own.sum() - 1)
+        b = min(d[labels == other].mean()
+                for other in np.unique(labels) if other != labels[i])
+        s[i] = (b - a) / max(a, b)
+    return s
 
 
 class TestSilhouette:
+    @pytest.mark.parametrize("block", [None, 5 * 64])
+    def test_matches_textbook_formula(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(metrics, "_DISTANCE_BLOCK", block)
+        rng = np.random.default_rng(25)
+        pts = rng.standard_normal((64, 3))
+        types = rng.integers(0, 3, 64)
+        batches = rng.integers(0, 2, 64)
+        expected = textbook_silhouettes(pts, types)
+        assert np.allclose(metrics._silhouette_samples(pts, types), expected,
+                           rtol=0, atol=1e-12)
+        assert silhouette_asw(pts, types) == pytest.approx(expected.mean(),
+                                                           abs=1e-12)
+        per_type = [
+            (1.0 - np.abs(textbook_silhouettes(pts[types == t],
+                                               batches[types == t]))).mean()
+            for t in np.unique(types)
+            if len(np.unique(batches[types == t])) > 1
+        ]
+        assert batch_asw(pts, batches, types) == pytest.approx(
+            np.mean(per_type), abs=1e-12)
+
     def test_tight_far_clusters(self):
         rng = np.random.default_rng(10)
         pts = np.vstack([rng.normal(0, 0.01, (20, 2)),
@@ -347,7 +392,7 @@ class TestGraphConnectivity:
         pts = np.vstack([rng.normal(0, 0.1, (20, 2)),
                          rng.normal(10, 0.1, (20, 2))])
         types = np.repeat([0, 1], 20)
-        assert graph_connectivity(pts, types, knn_k=5) == 1.0
+        assert graph_connectivity(knn_graph(pts, 5), types) == 1.0
 
     def test_split_type_scores_half(self):
         rng = np.random.default_rng(20)
@@ -355,19 +400,70 @@ class TestGraphConnectivity:
         half_b = rng.normal(100, 0.05, (10, 2))
         pts = np.vstack([half_a, half_b])
         types = np.zeros(20)
-        assert graph_connectivity(pts, types, knn_k=3) == pytest.approx(0.5)
+        assert (graph_connectivity(knn_graph(pts, 3), types)
+                == pytest.approx(0.5))
 
     def test_singleton_type_contributes_one(self):
         rng = np.random.default_rng(21)
         pts = np.vstack([rng.normal(0, 0.1, (10, 2)), [[50.0, 50.0]]])
         types = np.array([0] * 10 + [1])
-        assert graph_connectivity(pts, types, knn_k=3) == 1.0
+        assert graph_connectivity(knn_graph(pts, 3), types) == 1.0
 
     def test_union_find_oracle_on_connected_subgraphs(self):
         rng = np.random.default_rng(22)
         pts = rng.standard_normal((30, 2)) * 0.1
         types = rng.integers(0, 2, 30)
-        assert graph_connectivity(pts, types, knn_k=29) == 1.0
+        assert graph_connectivity(knn_graph(pts, 29), types) == 1.0
+
+    def test_matches_union_find_per_type(self):
+        def per_type_reference(g, types):
+            scores = []
+            for t in np.unique(types):
+                members = np.flatnonzero(types == t)
+                local = {int(m): pos for pos, m in enumerate(members)}
+                parent = list(range(len(members)))
+
+                def find(a):
+                    while parent[a] != a:
+                        a = parent[a]
+                    return a
+
+                for i, j, _ in g.undirected_edges():
+                    if i in local and j in local:
+                        parent[find(local[i])] = find(local[j])
+                roots = [find(a) for a in range(len(members))]
+                scores.append(max(roots.count(r) for r in roots)
+                              / len(members))
+            return float(np.mean(scores))
+
+        rng = np.random.default_rng(26)
+        for _ in range(30):
+            n = int(rng.integers(5, 60))
+            pts = rng.standard_normal((n, 2))
+            types = rng.integers(0, 4, n)
+            g = knn_graph(pts, int(rng.integers(1, 6)))
+            assert graph_connectivity(g, types) == per_type_reference(g, types)
+
+
+class TestMetricSuite:
+    def test_builds_one_knn_graph(self, monkeypatch):
+        calls = []
+        build = metrics.knn_graph
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(metrics, "knn_graph", counted)
+        rng = np.random.default_rng(27)
+        report = _metric_suite(
+            rng.standard_normal((60, 4)), np.repeat([0, 1, 2], 20),
+            np.tile([0, 1], 30), 5, pseudotime_before=rng.random(60),
+            cc_scores=rng.standard_normal(60),
+            pre_embedding=rng.standard_normal((60, 3)), seed=0)
+        assert len(calls) == 1
+        assert all(np.isfinite(getattr(report, name))
+                   for name in MetricReport.FIELDS)
 
 
 class TestAggregate:
@@ -398,6 +494,11 @@ class TestAggregate:
             assert rep.overall == pytest.approx(
                 0.6 * vals[:4].mean() + 0.4 * vals[4:].mean())
 
+    def test_nan_bio_metric_left_out_of_s_bio(self):
+        report = aggregate(0.2, 0.4, float("nan"), 0.9, 0.5, 1.0)
+        assert report.s_bio == pytest.approx(1.5 / 3)
+        assert report.overall == pytest.approx(0.6 * 0.5 + 0.4 * 0.75)
+
     def test_report_round_trip(self, tmp_path):
         rep = aggregate(0.5, 0.25, 1.0, 0.75, 0.5, 1.0)
         path = tmp_path / "metrics.kv"
@@ -421,7 +522,7 @@ class TestRangeInvariants:
             batches = rng.integers(0, 2, n)
             assert -1.0 <= silhouette_asw(pts, types) <= 1.0
             assert 0.0 <= cell_type_asw(pts, types) <= 1.0
-            assert 0.0 <= graph_connectivity(pts, types, 5) <= 1.0
+            assert 0.0 <= graph_connectivity(knn_graph(pts, 5), types) <= 1.0
             assert 0.0 <= nmi(types, batches) <= 1.0
             try:
                 assert 0.0 <= batch_asw(pts, batches, types) <= 1.0
