@@ -29,15 +29,28 @@ class KnnGraph:
     distances: np.ndarray
 
     def undirected_edges(self):
-        """Each kNN edge once as (i, j, distance), symmetrized by union and
-        sorted; an edge listed from both ends keeps the first distance."""
+        """Each kNN edge once as arrays (i, j, distance), symmetrized by union
+        and sorted; an edge listed from both ends keeps the first distance."""
         n = self.n_nodes
         src = np.repeat(np.arange(n, dtype=np.int64), self.k)
         dst = self.neighbors.reshape(-1)
         lo, hi = np.minimum(src, dst), np.maximum(src, dst)
         _, first = np.unique(lo * n + hi, return_index=True)
-        return list(zip(lo[first].tolist(), hi[first].tolist(),
-                        self.distances.reshape(-1)[first].tolist()))
+        return lo[first], hi[first], self.distances.reshape(-1)[first]
+
+
+def _csr_rows(n: int, src, dst, weights):
+    """Both directions of every non-loop edge as CSR rows (indptr,
+    neighbors, weights), each row in edge-list order, and the summed
+    self-loop weight per node."""
+    loop = src == dst
+    self_w = np.bincount(src[loop], weights=weights[loop], minlength=n)
+    src, dst, weights = src[~loop], dst[~loop], weights[~loop]
+    owner = np.column_stack([src, dst]).reshape(-1)
+    order = np.argsort(owner, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=n))])
+    return (indptr, np.column_stack([dst, src]).reshape(-1)[order],
+            np.repeat(weights, 2)[order], self_w)
 
 
 # entries per distance block; inputs of up to 2048 points take one block
@@ -71,10 +84,16 @@ def knn_graph(points: np.ndarray, k: int) -> KnnGraph:
     distances = np.empty((n, k_eff))
     for rows, dist in _distance_blocks(pts):
         dist[np.arange(len(dist)), np.arange(n)[rows]] = -1.0  # self first
-        # a stable sort keeps equal distances in index order
-        nb = np.argsort(dist, axis=1, kind="stable")[:, 1:k_eff + 1]
-        neighbors[rows] = nb
-        distances[rows] = np.take_along_axis(dist, nb, axis=1)
+        # the k + 1 nearest by (distance, index); where an unchosen entry
+        # ties the last of them, a stable sort of the whole row keeps equal
+        # distances in index order
+        near = np.argpartition(dist, k_eff, axis=1)[:, :k_eff + 1]
+        near_d = np.take_along_axis(dist, near, axis=1)
+        near = np.take_along_axis(near, np.lexsort((near, near_d)), axis=1)
+        tie = (dist <= near_d.max(axis=1)[:, None]).sum(axis=1) > k_eff + 1
+        near[tie] = np.argsort(dist[tie], axis=1, kind="stable")[:, :k_eff + 1]
+        neighbors[rows] = near[:, 1:]
+        distances[rows] = np.take_along_axis(dist, near[:, 1:], axis=1)
     return KnnGraph(n, k_eff, neighbors, distances)
 
 
@@ -83,22 +102,22 @@ def pseudotime_from_root(g: KnnGraph, root: int) -> np.ndarray:
 
     Unreachable nodes get the maximum finite distance plus one.
     """
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n_nodes)]
-    for i, j, d in g.undirected_edges():
-        adj[i].append((j, d))
-        adj[j].append((i, d))
-    dist = np.full(g.n_nodes, np.inf)
+    indptr, nbrs, wts, _ = map(np.ndarray.tolist,
+                               _csr_rows(g.n_nodes, *g.undirected_edges()))
+    dist = [np.inf] * g.n_nodes
     dist[root] = 0.0
     heap = [(0.0, root)]
     while heap:
         d, node = heapq.heappop(heap)
         if d > dist[node]:
             continue
-        for nxt, w in adj[node]:
+        lo, hi = indptr[node], indptr[node + 1]
+        for nxt, w in zip(nbrs[lo:hi], wts[lo:hi]):
             nd = d + w
             if nd < dist[nxt]:
                 dist[nxt] = nd
                 heapq.heappush(heap, (nd, nxt))
+    dist = np.array(dist)
     finite = dist[np.isfinite(dist)]
     dist[~np.isfinite(dist)] = finite.max() + 1.0
     return dist
@@ -134,52 +153,26 @@ def graph_connectivity(g: KnnGraph, cell_types) -> float:
 # Louvain community detection
 
 
-def modularity(n: int, edges, labels, resolution: float) -> float:
-    """Resolution-scaled Newman modularity of a labeled undirected graph."""
-    labels = np.asarray(labels)
-    degree = np.zeros(n)
-    internal: dict[int, float] = {}
-    total = 0.0
-    for i, j, w in edges:
-        if i == j:
-            degree[i] += 2 * w
-            total += 2 * w
-            if labels[i] == labels[j]:
-                internal[labels[i]] = internal.get(labels[i], 0.0) + 2 * w
-            continue
-        degree[i] += w
-        degree[j] += w
-        total += 2 * w
-        if labels[i] == labels[j]:
-            internal[labels[i]] = internal.get(labels[i], 0.0) + 2 * w
-    if total == 0:
-        return 0.0
-    tot_per = {}
-    for node, lab in enumerate(labels):
-        tot_per[lab] = tot_per.get(lab, 0.0) + degree[node]
-    return float(sum(
-        internal.get(lab, 0.0) / total
-        - resolution * (tot_per[lab] / total) ** 2
-        for lab in tot_per
-    ))
-
-
-def _louvain_level(n, adj, self_w, resolution, order):
-    """One Louvain level: local moves until none improves. Returns labels."""
-    degree = np.array([sum(w for _, w in adj[i]) + 2 * self_w[i]
-                       for i in range(n)])
-    two_m = degree.sum()
+def _louvain_level(n, indptr, nbrs, wts, self_w, resolution, order):
+    """One Louvain level over CSR rows: local moves until none improves.
+    Returns labels."""
+    degree = np.bincount(np.repeat(np.arange(n), np.diff(indptr)),
+                         weights=wts, minlength=n) + 2 * self_w
+    two_m = float(degree.sum())
     if two_m == 0:
         return np.arange(n)
-    community = np.arange(n)
-    tot = degree.astype(np.float64).copy()
+    indptr, nbrs, wts = indptr.tolist(), nbrs.tolist(), wts.tolist()
+    degree = degree.tolist()
+    community = list(range(n))
+    tot = list(degree)
     moved = True
     while moved:
         moved = False
-        for node in order:
+        for node in order.tolist():
             com = community[node]
             weights_to: dict[int, float] = {}
-            for nbr, w in adj[node]:
+            lo, hi = indptr[node], indptr[node + 1]
+            for nbr, w in zip(nbrs[lo:hi], wts[lo:hi]):
                 weights_to[community[nbr]] = (
                     weights_to.get(community[nbr], 0.0) + w
                 )
@@ -200,11 +193,12 @@ def _louvain_level(n, adj, self_w, resolution, order):
             if best_com != com:
                 community[node] = best_com
                 moved = True
-    return community
+    return np.array(community)
 
 
-def louvain_edges(n: int, edges, resolution: float, seed: int) -> np.ndarray:
-    """Louvain over an explicit undirected weighted edge list.
+def louvain_edges(n: int, src, dst, weights, resolution: float,
+                  seed: int) -> np.ndarray:
+    """Louvain over an undirected weighted edge list given as arrays.
 
     Node visit order is shuffled once per level by the seeded generator,
     then fixed, so results are reproducible.
@@ -213,39 +207,32 @@ def louvain_edges(n: int, edges, resolution: float, seed: int) -> np.ndarray:
         raise ValueError("resolution must be > 0")
     rng = np.random.default_rng(seed)
     labels = np.arange(n)
-    cur_n = n
-    cur_edges = [(int(i), int(j), float(w)) for i, j, w in edges]
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
     while True:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(cur_n)]
-        self_w = np.zeros(cur_n)
-        for i, j, w in cur_edges:
-            if i == j:
-                self_w[i] += w
-            else:
-                adj[i].append((j, w))
-                adj[j].append((i, w))
-        order = rng.permutation(cur_n)
-        community = _louvain_level(cur_n, adj, self_w, resolution, order)
-        packed = {c: idx for idx, c in enumerate(np.unique(community))}
-        community = np.array([packed[c] for c in community])
-        if len(packed) == cur_n:
+        order = rng.permutation(n)
+        community = _louvain_level(n, *_csr_rows(n, src, dst, weights),
+                                   resolution, order)
+        uniq, community = np.unique(community, return_inverse=True)
+        if len(uniq) == n:
             break
         labels = community[labels]
-        merged: dict[tuple[int, int], float] = {}
-        for i, j, w in cur_edges:
-            a, b = community[i], community[j]
-            key = (min(a, b), max(a, b))
-            merged[key] = merged.get(key, 0.0) + w
-        cur_edges = [(a, b, w) for (a, b), w in sorted(merged.items())]
-        cur_n = len(packed)
-    packed = {c: idx for idx, c in enumerate(np.unique(labels))}
-    return np.array([packed[c] for c in labels])
+        n = len(uniq)
+        a, b = community[src], community[dst]
+        pairs, inv = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                               return_inverse=True)
+        # bincount adds each pair's weights in edge order
+        weights = np.bincount(inv, weights=weights)
+        src, dst = pairs // n, pairs % n
+    return np.unique(labels, return_inverse=True)[1]
 
 
 def louvain(g: KnnGraph, resolution: float, seed: int) -> np.ndarray:
     """Louvain on the kNN graph with unit weights (edges symmetrized)."""
-    edges = [(i, j, 1.0) for i, j, _ in g.undirected_edges()]
-    return louvain_edges(g.n_nodes, edges, resolution, seed)
+    src, dst, _ = g.undirected_edges()
+    return louvain_edges(g.n_nodes, src, dst, np.ones(len(src)), resolution,
+                         seed)
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,6 @@ class JointEmbedding:
     cell_type_dims: int
     beta: float
 
-    def type_probabilities(self) -> np.ndarray:
-        logits = self.embedding[:, : self.cell_type_dims]
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-
 
 def register_embed_params(store: ParamStore, d: int, target_dim: int,
                           seed: int):

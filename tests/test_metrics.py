@@ -8,11 +8,117 @@ from cellgraph.cli import _metric_suite
 from cellgraph.metrics import (KnnGraph, MetricReport, aggregate, batch_asw,
                                cell_cycle_conservation, cell_type_asw,
                                graph_connectivity, knn_graph, louvain,
-                               louvain_edges, modularity, nmi,
+                               louvain_edges, nmi,
                                nmi_cluster_label, pseudotime_from_root,
                                read_report, silhouette_asw, spearman,
                                trajectory_conservation, variance_explained,
                                write_report)
+
+
+def modularity(n: int, edges, labels, resolution: float) -> float:
+    """Resolution-scaled Newman modularity of a labeled undirected graph."""
+    labels = np.asarray(labels)
+    degree = np.zeros(n)
+    internal: dict[int, float] = {}
+    total = 0.0
+    for i, j, w in edges:
+        if i == j:
+            degree[i] += 2 * w
+            total += 2 * w
+            if labels[i] == labels[j]:
+                internal[labels[i]] = internal.get(labels[i], 0.0) + 2 * w
+            continue
+        degree[i] += w
+        degree[j] += w
+        total += 2 * w
+        if labels[i] == labels[j]:
+            internal[labels[i]] = internal.get(labels[i], 0.0) + 2 * w
+    if total == 0:
+        return 0.0
+    tot_per = {}
+    for node, lab in enumerate(labels):
+        tot_per[lab] = tot_per.get(lab, 0.0) + degree[node]
+    return float(sum(
+        internal.get(lab, 0.0) / total
+        - resolution * (tot_per[lab] / total) ** 2
+        for lab in tot_per
+    ))
+
+
+def _reference_louvain_level(n, adj, self_w, resolution, order):
+    """Louvain level on per-node (neighbor, weight) lists."""
+    degree = np.array([sum(w for _, w in adj[i]) + 2 * self_w[i]
+                       for i in range(n)])
+    two_m = degree.sum()
+    if two_m == 0:
+        return np.arange(n)
+    community = np.arange(n)
+    tot = degree.astype(np.float64).copy()
+    moved = True
+    while moved:
+        moved = False
+        for node in order:
+            com = community[node]
+            weights_to: dict[int, float] = {}
+            for nbr, w in adj[node]:
+                weights_to[community[nbr]] = (
+                    weights_to.get(community[nbr], 0.0) + w
+                )
+            tot[com] -= degree[node]
+            base = weights_to.get(com, 0.0) - resolution * degree[node] * (
+                tot[com] / two_m
+            )
+            best_com, best_gain = com, base
+            for cand in sorted(weights_to):
+                if cand == com:
+                    continue
+                gain = weights_to[cand] - resolution * degree[node] * (
+                    tot[cand] / two_m
+                )
+                if gain > best_gain + 1e-12:
+                    best_com, best_gain = cand, gain
+            tot[best_com] += degree[node]
+            if best_com != com:
+                community[node] = best_com
+                moved = True
+    return community
+
+
+def reference_louvain(n, edges, resolution, seed):
+    """Louvain over a list of (i, j, w) tuples, merging levels through a
+    dict keyed on community pairs; returns (labels, number of levels)."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n)
+    cur_n = n
+    cur_edges = [(int(i), int(j), float(w)) for i, j, w in edges]
+    levels = 0
+    while True:
+        levels += 1
+        adj: list[list[tuple[int, float]]] = [[] for _ in range(cur_n)]
+        self_w = np.zeros(cur_n)
+        for i, j, w in cur_edges:
+            if i == j:
+                self_w[i] += w
+            else:
+                adj[i].append((j, w))
+                adj[j].append((i, w))
+        order = rng.permutation(cur_n)
+        community = _reference_louvain_level(cur_n, adj, self_w, resolution,
+                                             order)
+        packed = {c: idx for idx, c in enumerate(np.unique(community))}
+        community = np.array([packed[c] for c in community])
+        if len(packed) == cur_n:
+            break
+        labels = community[labels]
+        merged: dict[tuple[int, int], float] = {}
+        for i, j, w in cur_edges:
+            a, b = community[i], community[j]
+            key = (min(a, b), max(a, b))
+            merged[key] = merged.get(key, 0.0) + w
+        cur_edges = [(a, b, w) for (a, b), w in sorted(merged.items())]
+        cur_n = len(packed)
+    packed = {c: idx for idx, c in enumerate(np.unique(labels))}
+    return np.array([packed[c] for c in labels]), levels
 
 
 class TestKnnGraph:
@@ -45,6 +151,23 @@ class TestKnnGraph:
         assert len(blocks) == 17
         self.test_matches_brute_force()
 
+    @pytest.mark.parametrize("block", [None, 3 * 40])
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_ties_on_integer_grid(self, k, block, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(metrics, "_DISTANCE_BLOCK", block)
+        rng = np.random.default_rng(100 + k)
+        pts = rng.integers(0, 4, (40, 2)).astype(np.float64)
+        g = knn_graph(pts, k)
+        boundary_ties = 0
+        for i in range(40):
+            d = np.linalg.norm(pts - pts[i], axis=1)
+            order = [j for j in np.lexsort((np.arange(40), d)) if j != i]
+            assert g.neighbors[i].tolist() == order[:k]
+            assert g.distances[i].tolist() == d[order[:k]].tolist()
+            boundary_ties += d[order[k - 1]] == d[order[k]]
+        assert boundary_ties > 0
+
     def test_k_clamped(self):
         g = knn_graph(np.random.default_rng(1).standard_normal((4, 2)), 10)
         assert g.k == 3
@@ -74,7 +197,7 @@ class TestPseudotime:
         g = knn_graph(pts, 3)
         d = pseudotime_from_root(g, 0)
         # Bellman-Ford over the same symmetrized edges
-        edges = g.undirected_edges()
+        edges = list(zip(*g.undirected_edges()))
         ref = np.full(20, np.inf)
         ref[0] = 0.0
         for _ in range(20):
@@ -101,14 +224,14 @@ class TestLouvain:
         edges = (self._clique_edges(range(10))
                  + self._clique_edges(range(10, 20))
                  + [(0, 10, 1.0)])
-        labels = louvain_edges(20, edges, resolution=1.0, seed=0)
+        labels = louvain_edges(20, *zip(*edges), resolution=1.0, seed=0)
         assert len(set(labels[:10])) == 1
         assert len(set(labels[10:])) == 1
         assert labels[0] != labels[10]
 
     def test_complete_graph_low_resolution_single_community(self):
         edges = self._clique_edges(range(12))
-        labels = louvain_edges(12, edges, resolution=0.1, seed=0)
+        labels = louvain_edges(12, *zip(*edges), resolution=0.1, seed=0)
         assert len(set(labels.tolist())) == 1
 
     def test_beats_singleton_modularity(self):
@@ -117,7 +240,7 @@ class TestLouvain:
                          rng.normal(5, 0.3, (15, 2))])
         g = knn_graph(pts, 4)
         labels = louvain(g, resolution=1.0, seed=1)
-        edges = [(i, j, 1.0) for i, j, _ in g.undirected_edges()]
+        edges = [(i, j, 1.0) for i, j, _ in zip(*g.undirected_edges())]
         assert (modularity(30, edges, labels, 1.0)
                 >= modularity(30, edges, np.arange(30), 1.0))
 
@@ -129,9 +252,30 @@ class TestLouvain:
         b = louvain(g, resolution=1.3, seed=7)
         assert np.array_equal(a, b)
 
+    def test_matches_tuple_reference(self):
+        rng = np.random.default_rng(30)
+        multi_level = 0
+        for trial in range(48):
+            n = int(rng.integers(2, 40))
+            m = int(rng.integers(1, 4 * n))
+            src = rng.integers(0, n, m)
+            # about one edge in ten is a self-loop; pairs repeat freely
+            dst = np.where(rng.random(m) < 0.1, src, rng.integers(0, n, m))
+            weights = (rng.random(m) * 3.0 if trial % 2
+                       else np.ones(m))
+            edges = list(zip(src.tolist(), dst.tolist(), weights.tolist()))
+            for resolution in (0.3, 1.0, 1.7):
+                expected, levels = reference_louvain(n, edges, resolution,
+                                                     seed=trial)
+                multi_level += levels > 2
+                labels = louvain_edges(n, src, dst, weights, resolution,
+                                       seed=trial)
+                assert labels.tolist() == expected.tolist()
+        assert multi_level > 0
+
     def test_invalid_resolution(self):
         with pytest.raises(ValueError):
-            louvain_edges(3, [(0, 1, 1.0)], resolution=0.0, seed=0)
+            louvain_edges(3, *zip(*[(0, 1, 1.0)]), resolution=0.0, seed=0)
 
 
 class TestNmi:
@@ -428,7 +572,7 @@ class TestGraphConnectivity:
                         a = parent[a]
                     return a
 
-                for i, j, _ in g.undirected_edges():
+                for i, j, _ in zip(*g.undirected_edges()):
                     if i in local and j in local:
                         parent[find(local[i])] = find(local[j])
                 roots = [find(a) for a in range(len(members))]
