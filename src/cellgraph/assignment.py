@@ -1,11 +1,14 @@
 """Maximum-weight rectangular linear assignment with sparse pre-filtering.
 
-The solver is a shortest-augmenting-path (Jonker-Volgenant style) method
-with potentials, run on an internally squared cost matrix. Forbidden and
-padding entries get a big constant cost, which makes the solver prefer
-maximum cardinality first and maximum profit second. Ties between optimal
-pairings are broken toward the lexicographically smallest left-index
-pairing by a post-pass over the tight-edge subgraph.
+The solver is Jonker-Volgenant: column reduction, then one shortest
+augmenting path per free row with potentials, run on an internally squared
+cost matrix. Forbidden and padding entries get a big constant cost, which
+makes the solver prefer maximum cardinality first and maximum profit
+second. The percentile filter leaves every row and column at least one
+entry, which does not make a full matching feasible; the solver then
+returns a maximum-cardinality matching and flags it partial. Ties between
+optimal pairings are broken toward the lexicographically smallest
+left-index pairing by a post-pass over the tight-edge subgraph.
 
 `brute_force_solve` enumerates permutations and is the test oracle.
 """
@@ -50,50 +53,74 @@ def _pair_total(profits, pairs) -> float:
 
 
 def _jv_square(cost: np.ndarray):
-    """Min-cost perfect matching on a square matrix; returns (col_row, u, v).
+    """Min-cost perfect matching on a square matrix; returns (row_col, u, v).
 
-    col_row[j] is the row matched to column j. Potentials satisfy
+    row_col[i] is the column matched to row i. Potentials satisfy
     u[i] + v[j] <= cost[i, j] up to float error.
+
+    Jonker & Volgenant (1987): column reduction, then one shortest
+    augmenting path (Dijkstra on reduced costs) per row left free, with the
+    duals moved once per search (Crouse 2016).
     """
     s = cost.shape[0]
     u = np.zeros(s)
-    v = np.zeros(s + 1)  # index s is the virtual start column
-    col_row = np.full(s + 1, -1, dtype=np.int64)
-    cols = np.empty(s + 1, dtype=np.int64)  # columns scanned this phase
-    rows = np.empty(s + 1, dtype=np.int64)  # and the rows matched to them
-    for i in range(s):
-        col_row[s] = i
-        j0 = s
-        minv = np.full(s, np.inf)
-        way = np.full(s, s, dtype=np.int64)
-        # v of the unscanned columns; a scanned column's -inf gives it a
-        # reduced cost of +inf, so it never improves minv again
-        v_free = v[:s].copy()
-        k = 0
+    v = cost.min(axis=0)
+    col_row = np.full(s, -1, dtype=np.int64)
+    row_col = np.full(s, -1, dtype=np.int64)
+    # column reduction: each column, last to first, goes to its argmin row
+    # if that row is still free. The searches below match the columns it
+    # leaves free, which is valid because the problem is square.
+    for j, i in zip(range(s - 1, -1, -1), cost.argmin(axis=0)[::-1].tolist()):
+        if row_col[i] == -1:
+            row_col[i] = j
+            col_row[j] = i
+    dist = np.empty(s)  # tentative distance of each unscanned column
+    way = np.empty(s, dtype=np.int64)  # row that reached it
+    v_open = np.empty(s)  # v, with -inf on scanned columns
+    cur = np.empty(s)
+    better = np.empty(s, dtype=bool)
+    cols = np.empty(s, dtype=np.int64)  # columns scanned this search
+    col_dist = np.empty(s)  # and their final distances
+    for start in np.flatnonzero(row_col == -1).tolist():
+        # no free column is scanned during the search, so the set is fixed
+        free = np.flatnonzero(col_row == -1)
+        dist.fill(np.inf)
+        np.copyto(v_open, v)
+        i0, d0, k = start, 0.0, 0
         while True:
-            i0 = col_row[j0]
-            cols[k], rows[k] = j0, i0
-            k += 1
-            if j0 < s:
-                v_free[j0] = -np.inf
-                minv[j0] = np.inf  # and never wins the argmin
-            cur = cost[i0] - u[i0] - v_free
-            better = cur < minv
-            minv[better] = cur[better]
-            way[better] = j0
-            j1 = int(np.argmin(minv))
-            delta = minv[j1]
-            u[rows[:k]] += delta
-            v[cols[:k]] -= delta
-            minv -= delta
-            j0 = j1
-            if col_row[j0] == -1:
+            # a scanned column's -inf makes its reduced cost +inf, so it
+            # never improves dist again
+            np.subtract(cost[i0], v_open, out=cur)
+            cur += d0 - u[i0]
+            np.less(cur, dist, out=better)
+            np.copyto(dist, cur, where=better)
+            np.copyto(way, i0, where=better)
+            j = int(dist.argmin())
+            delta = dist[j]
+            if col_row[j] != -1:
+                # on a tie, end the search on a free column
+                f = int(free[dist[free].argmin()])
+                if dist[f] == delta:
+                    j = f
+            if col_row[j] == -1:
                 break
-        while j0 != s:
-            j_prev = way[j0]
-            col_row[j0] = col_row[j_prev]
-            j0 = j_prev
-    return col_row[:s], u, v[:s]
+            cols[k], col_dist[k] = j, delta
+            k += 1
+            v_open[j] = -np.inf
+            dist[j] = np.inf
+            i0, d0 = int(col_row[j]), delta
+        scanned = cols[:k]
+        shift = delta - col_dist[:k]
+        u[start] += delta
+        u[col_row[scanned]] += shift
+        v[scanned] -= shift
+        while True:
+            i = int(way[j])
+            col_row[j] = i
+            row_col[i], j = j, row_col[i]
+            if i == start:
+                break
+    return row_col, u, v
 
 
 def _lexicographic_refine(cost, u, v, row_col, n_real_left):
@@ -108,43 +135,46 @@ def _lexicographic_refine(cost, u, v, row_col, n_real_left):
     scale = max(1.0, float(np.abs(cost).max()))
     tight = (cost - u[:, None] - v[None, :]) <= 1e-9 * scale
     col_row = np.full(s, -1, dtype=np.int64)
-    for r, c in enumerate(row_col):
-        col_row[c] = r
+    col_row[row_col] = np.arange(s)
+    reached_by = np.empty(s, dtype=np.int64)
 
-    def rematch(row, banned, depth=0):
-        # Kuhn augmentation over tight edges; banned columns are held by
-        # already-fixed rows.
-        if depth > s:
-            return False
-        for j in np.flatnonzero(tight[row]):
-            if banned[j]:
-                continue
-            banned[j] = True
-            owner = col_row[j]
-            if owner == -1 or rematch(owner, banned, depth + 1):
-                col_row[j] = row
-                row_col[row] = j
-                return True
+    def rematch(row, target, seen):
+        # breadth-first alternating search over tight edges from `row` to
+        # the column `target` given up for it, through columns not yet
+        # seen (fixed rows' columns start seen); flips the path it finds
+        queue = [row]
+        for r in queue:
+            new = np.flatnonzero(tight[r] & ~seen)
+            seen[new] = True
+            reached_by[new] = r
+            if seen[target]:
+                c = target
+                while True:
+                    r = int(reached_by[c])
+                    col_row[c] = r
+                    row_col[r], c = c, row_col[r]
+                    if r == row:
+                        return True
+            queue.extend(col_row[new].tolist())
         return False
 
     fixed_cols = np.zeros(s, dtype=bool)
     for i in range(min(n_real_left, s)):
         current = row_col[i]
-        for j in np.flatnonzero(tight[i]):
+        for j in np.flatnonzero(tight[i]).tolist():
             if fixed_cols[j]:
                 continue
             if j >= current:
                 break  # current pairing already the smallest feasible
             owner = col_row[j]
-            col_row[current] = -1
             col_row[j] = i
             row_col[i] = j
-            banned = fixed_cols.copy()
-            banned[j] = True
-            if owner > i and not rematch(owner, banned):
+            seen = fixed_cols.copy()
+            seen[j] = True
+            # rows before i hold fixed columns, so owner is a later row
+            if not rematch(owner, current, seen):
                 # infeasible: undo and try the next candidate
                 col_row[j] = owner
-                col_row[current] = i
                 row_col[i] = current
                 continue
             break
@@ -164,9 +194,7 @@ def solve(problem: AssignmentProblem) -> AssignmentResult:
     cost[:n, :m] = profits.max() - profits
     if problem.allowed is not None:
         cost[:n, :m][~problem.allowed] = big
-    col_row, u, v = _jv_square(cost)
-    row_col = np.empty(s, dtype=np.int64)
-    row_col[col_row] = np.arange(s)
+    row_col, u, v = _jv_square(cost)
     row_col = _lexicographic_refine(cost, u, v, row_col, n)
     threshold = big * 0.5  # anything >= big/2 is padding or forbidden
     pairs = [
@@ -216,8 +244,9 @@ def brute_force_solve(problem: AssignmentProblem) -> AssignmentResult:
 def percentile_filter(scores: np.ndarray, percentile: float) -> np.ndarray:
     """Boolean keep-mask: entries at or above the given percentile.
 
-    Every row and column keeps at least its maximum entry so a full
-    matching stays feasible.
+    Every row and column keeps at least its maximum entry. That does not
+    make a full matching feasible (Hall's condition can still fail); `solve`
+    then returns a maximum-cardinality matching.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if not 0.0 <= percentile < 100.0:

@@ -2,7 +2,9 @@
 
 Everything is exact (all pairwise distances, in row blocks that hold no
 n x n array; exact kNN; exhaustive connected components); no subsampling
-or approximate neighbors. All functions are pure.
+or approximate neighbors. All functions are pure. A negative cell-type
+label marks an unlabeled cell (`NA` loads as -1): the label metrics (NMI,
+both ASWs, graph connectivity) leave such cells out.
 """
 
 from __future__ import annotations
@@ -138,15 +140,15 @@ def _connected_components(n: int, src: np.ndarray, dst: np.ndarray):
 
 
 def graph_connectivity(g: KnnGraph, cell_types) -> float:
-    """Mean, over types, of the largest-component fraction of the type's
-    induced kNN subgraph."""
-    _, types = np.unique(cell_types, return_inverse=True)
+    """Mean, over labeled types, of the largest-component fraction of the
+    type's induced kNN subgraph."""
+    uniq, types = np.unique(cell_types, return_inverse=True)
     src, col = np.nonzero(types[:, None] == types[g.neighbors])
     # these edges join cells of one type, so each component lies in a type
     comp = _connected_components(g.n_nodes, src, g.neighbors[src, col])
     largest = np.zeros(types.max() + 1, dtype=np.int64)
     np.maximum.at(largest, types, np.bincount(comp)[comp])
-    return float(np.mean(largest / np.bincount(types)))
+    return float(np.mean((largest / np.bincount(types))[uniq >= 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +267,15 @@ def nmi(labels_a, labels_b) -> float:
 
 
 def nmi_cluster_label(g: KnnGraph, labels, seed: int = 0) -> float:
-    """Best NMI against `labels` over a Louvain resolution sweep 0.1..2.0."""
+    """Best NMI against `labels` over a Louvain resolution sweep 0.1..2.0.
+
+    Louvain clusters every cell; the comparison reads the labeled ones."""
+    labels = np.asarray(labels)
+    labeled = labels >= 0
     best = 0.0
     for step in range(1, 21):
         clusters = louvain(g, resolution=step / 10.0, seed=seed)
-        best = max(best, nmi(clusters, labels))
+        best = max(best, nmi(clusters[labeled], labels[labeled]))
     return best
 
 
@@ -304,21 +310,24 @@ def silhouette_asw(points, labels) -> float:
 
 
 def cell_type_asw(embedding, cell_types) -> float:
-    """Silhouette on cell types, rescaled onto [0, 1]."""
-    return (silhouette_asw(embedding, cell_types) + 1.0) / 2.0
+    """Silhouette on the labeled cells' types, rescaled onto [0, 1]."""
+    types = np.asarray(cell_types)
+    labeled = types >= 0
+    return (silhouette_asw(np.asarray(embedding)[labeled], types[labeled])
+            + 1.0) / 2.0
 
 
 def batch_asw(embedding, batch_labels, cell_types) -> float:
     """Batch-mixing score: mean over cell types of mean(1 - |s|).
 
-    Silhouettes are computed on batch labels within each cell type; types
-    containing a single batch are skipped.
+    Silhouettes are computed on batch labels within each labeled cell
+    type; types containing a single batch are skipped.
     """
     pts = np.asarray(embedding, dtype=np.float64)
     batches = np.asarray(batch_labels)
     types = np.asarray(cell_types)
     scores = []
-    for t in np.unique(types):
+    for t in np.unique(types[types >= 0]):
         members = types == t
         if len(np.unique(batches[members])) < 2:
             continue

@@ -1,8 +1,121 @@
+import sys
+
 import numpy as np
 import pytest
 
 from cellgraph.assignment import (AssignmentProblem, AssignmentResult,
                                   brute_force_solve, percentile_filter, solve)
+
+
+def _reference_jv_square(cost):
+    """Hungarian shortest augmenting paths, rows in order, duals moved on
+    every scan step; returns (col_row, u, v)."""
+    s = cost.shape[0]
+    u = np.zeros(s)
+    v = np.zeros(s + 1)  # index s is the virtual start column
+    col_row = np.full(s + 1, -1, dtype=np.int64)
+    cols = np.empty(s + 1, dtype=np.int64)
+    rows = np.empty(s + 1, dtype=np.int64)
+    for i in range(s):
+        col_row[s] = i
+        j0 = s
+        minv = np.full(s, np.inf)
+        way = np.full(s, s, dtype=np.int64)
+        v_free = v[:s].copy()
+        k = 0
+        while True:
+            i0 = col_row[j0]
+            cols[k], rows[k] = j0, i0
+            k += 1
+            if j0 < s:
+                v_free[j0] = -np.inf
+                minv[j0] = np.inf
+            cur = cost[i0] - u[i0] - v_free
+            better = cur < minv
+            minv[better] = cur[better]
+            way[better] = j0
+            j1 = int(np.argmin(minv))
+            delta = minv[j1]
+            u[rows[:k]] += delta
+            v[cols[:k]] -= delta
+            minv -= delta
+            j0 = j1
+            if col_row[j0] == -1:
+                break
+        while j0 != s:
+            j_prev = way[j0]
+            col_row[j0] = col_row[j_prev]
+            j0 = j_prev
+    return col_row[:s], u, v[:s]
+
+
+def _reference_refine(cost, u, v, row_col, n_real_left):
+    """Rows fixed in order to their smallest feasible tight column, with a
+    recursive Kuhn search for the reroute."""
+    s = cost.shape[0]
+    scale = max(1.0, float(np.abs(cost).max()))
+    tight = (cost - u[:, None] - v[None, :]) <= 1e-9 * scale
+    col_row = np.full(s, -1, dtype=np.int64)
+    for r, c in enumerate(row_col):
+        col_row[c] = r
+
+    def rematch(row, banned, depth=0):
+        if depth > s:
+            return False
+        for j in np.flatnonzero(tight[row]):
+            if banned[j]:
+                continue
+            banned[j] = True
+            owner = col_row[j]
+            if owner == -1 or rematch(owner, banned, depth + 1):
+                col_row[j] = row
+                row_col[row] = j
+                return True
+        return False
+
+    fixed_cols = np.zeros(s, dtype=bool)
+    for i in range(min(n_real_left, s)):
+        current = row_col[i]
+        for j in np.flatnonzero(tight[i]):
+            if fixed_cols[j]:
+                continue
+            if j >= current:
+                break
+            owner = col_row[j]
+            col_row[current] = -1
+            col_row[j] = i
+            row_col[i] = j
+            banned = fixed_cols.copy()
+            banned[j] = True
+            if owner > i and not rematch(owner, banned):
+                col_row[j] = owner
+                col_row[current] = i
+                row_col[i] = current
+                continue
+            break
+        fixed_cols[row_col[i]] = True
+    return row_col
+
+
+def reference_solve(problem):
+    """`solve` as it was with the plain Hungarian loop and the recursive
+    refine: the same square padding, the same answer."""
+    profits = problem.profits
+    n, m = profits.shape
+    s = max(n, m)
+    big = (float(profits.max() - profits.min()) + 1.0) * (s + 1)
+    cost = np.full((s, s), big)
+    cost[:n, :m] = profits.max() - profits
+    if problem.allowed is not None:
+        cost[:n, :m][~problem.allowed] = big
+    col_row, u, v = _reference_jv_square(cost)
+    row_col = np.empty(s, dtype=np.int64)
+    row_col[col_row] = np.arange(s)
+    row_col = _reference_refine(cost, u, v, row_col, n)
+    pairs = [(i, int(row_col[i])) for i in range(n)
+             if row_col[i] < m and cost[i, row_col[i]] < big * 0.5]
+    total = float(sum(profits[i, j] for i, j in pairs))
+    return AssignmentResult(pairs, total, len(pairs) < min(n, m))
 
 
 class TestSolveBasics:
@@ -84,6 +197,58 @@ class TestSolveAgainstBruteForce:
             assert mine.total == oracle.total
             for i, j in mine.pairs:
                 assert allowed[i, j]
+
+
+class TestSolveAgainstReference:
+    def test_filtered_blocks_match_reference(self):
+        rng = np.random.default_rng(11)
+        partial = 0
+        for trial in range(40):
+            n = int(rng.integers(30, 301))
+            # square, wide and tall in turn
+            m = (n, int(rng.integers(n, 301)),
+                 int(rng.integers(30, n + 1)))[trial % 3]
+            if trial % 4 == 3:
+                profits = rng.integers(0, 3, size=(n, m)).astype(float)
+            else:
+                profits = rng.standard_normal((n, m))
+            keep = percentile_filter(profits, (80.0, 95.0, 99.0)[trial % 3])
+            problem = AssignmentProblem(profits, keep)
+            mine, expected = solve(problem), reference_solve(problem)
+            assert mine.pairs == expected.pairs
+            assert mine.total == expected.total
+            assert mine.partial == expected.partial
+            partial += mine.partial
+        assert partial > 0
+
+
+@pytest.fixture
+def shallow_stack():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+class TestTiedProfits:
+    def test_all_ones_gives_identity(self, shallow_stack):
+        result = solve(AssignmentProblem(np.ones((1000, 1000))))
+        assert result.pairs == [(i, i) for i in range(1000)]
+        assert result.total == 1000.0
+
+    def test_banded_gives_identity(self, shallow_stack):
+        idx = np.arange(1500)
+        band = (np.abs(idx[:, None] - idx[None, :]) <= 2).astype(float)
+        result = solve(AssignmentProblem(band))
+        assert result.pairs == [(i, i) for i in range(1500)]
+        assert result.total == 1500.0
+
+    def test_three_level_integers(self, shallow_stack):
+        profits = np.random.default_rng(0).integers(0, 3, size=(1100, 1300))
+        result = solve(AssignmentProblem(profits.astype(float)))
+        assert len(result.pairs) == 1100
+        assert result.total == 2200.0
+        assert not result.partial
 
 
 class TestSolveProperties:

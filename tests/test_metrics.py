@@ -589,6 +589,27 @@ class TestGraphConnectivity:
             assert graph_connectivity(g, types) == per_type_reference(g, types)
 
 
+class TestUnlabeledCells:
+    def test_label_metrics_leave_unlabeled_cells_out(self):
+        # two far-apart chains of 20 cells, every other cell labeled NA (-1);
+        # scored as a third type, NA read 0.4 NMI, 0.4995 cell-type ASW and
+        # 0.833 connectivity
+        x = np.arange(20) * 0.1
+        pts = np.column_stack([np.concatenate([x, x + 100.0]), np.zeros(40)])
+        types = np.repeat([0, 1], 20)
+        batches = np.tile([0, 0, 1, 1], 10)
+        partly = types.copy()
+        partly[1::2] = -1
+        labeled = partly >= 0
+        g = knn_graph(pts, 5)
+        assert nmi_cluster_label(g, partly) == 1.0
+        assert graph_connectivity(g, partly) == 1.0
+        assert (cell_type_asw(pts, partly)
+                == cell_type_asw(pts[labeled], types[labeled]))
+        assert (batch_asw(pts, batches, partly)
+                == batch_asw(pts[labeled], batches[labeled], types[labeled]))
+
+
 class TestMetricSuite:
     def test_builds_one_knn_graph(self, monkeypatch):
         calls = []
