@@ -2,10 +2,10 @@
 
 The solver is Jonker-Volgenant: column reduction, then one shortest
 augmenting path per free row with potentials, run on an internally squared
-cost matrix. Forbidden and padding entries get a big constant cost, which
-makes the solver prefer maximum cardinality first and maximum profit
-second. The percentile filter leaves every row and column at least one
-entry, which does not make a full matching feasible; the solver then
+cost matrix. Forbidden entries get a big constant cost, which makes the
+solver prefer maximum cardinality first and maximum profit second; padding
+entries cost 0. The percentile filter leaves every row and column at least
+one entry, which does not make a full matching feasible; the solver then
 returns a maximum-cardinality matching and flags it partial. Ties between
 optimal pairings are broken toward the lexicographically smallest
 left-index pairing by a post-pass over the tight-edge subgraph.
@@ -189,14 +189,16 @@ def solve(problem: AssignmentProblem) -> AssignmentResult:
     s = max(n, m)
     span = float(profits.max() - profits.min()) if profits.size else 0.0
     big = (span + 1.0) * (s + 1)
-    # minimize cost = (max profit - profit); padding/forbidden cost `big`
-    cost = np.full((s, s), big)
+    # minimize cost = (max profit - profit); forbidden cost `big`. Every
+    # perfect matching holds exactly |n - m| padding cells, so their cost
+    # does not move the optima; at 0 a padding row's search ends at once
+    cost = np.zeros((s, s))
     cost[:n, :m] = profits.max() - profits
     if problem.allowed is not None:
         cost[:n, :m][~problem.allowed] = big
     row_col, u, v = _jv_square(cost)
     row_col = _lexicographic_refine(cost, u, v, row_col, n)
-    threshold = big * 0.5  # anything >= big/2 is padding or forbidden
+    threshold = big * 0.5  # anything >= big/2 is forbidden
     pairs = [
         (i, int(row_col[i]))
         for i in range(n)

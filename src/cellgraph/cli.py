@@ -178,7 +178,7 @@ def _run_match(cfg: RunConfig) -> int:
         "score_softmax": scores["score_softmax"],
         "score_assignment": scores["score_assignment"],
         "top1_accuracy": scores["top1_accuracy"],
-        "percentile": cfg.percentile,
+        "percentile": cfg.match.percentile,
         "seed": cfg.seed,
     }, os.path.join(out, "report.kv"))
     save_checkpoint(model.store, os.path.join(out, "model.ckpt"))

@@ -20,10 +20,6 @@ from .linalg import spmm, standardize_rows
 TASK_LAYER_COUNTS = {"predict": 4, "match": 3, "embed": 2}
 
 
-def default_layer_count(task: str) -> int:
-    return TASK_LAYER_COUNTS[task]
-
-
 @dataclass
 class ConvConfig:
     """Architecture knobs shared by the three task heads."""

@@ -335,12 +335,13 @@ def truncated_svd(m: SparseMatrix, rank: int, seed: int):
     mt = m.transpose()
     omega = rng.standard_normal((m.n_cols, width))
     q, _ = np.linalg.qr(spmm(m, omega))
+    z = spmm(mt, q)  # m^T q, carried into the next step
     prev = None
-    for it in range(40):
-        q, _ = np.linalg.qr(spmm(m, spmm(mt, q)))
-        b = spmm(mt, q).T  # q^T m, shape (width, n_cols)
-        ub, s, _ = np.linalg.svd(b, full_matrices=False)
-        if it >= 1 and prev is not None:  # two baseline power iterations
+    for _ in range(40):
+        q, _ = np.linalg.qr(spmm(m, z))
+        z = spmm(mt, q)
+        ub, s, _ = np.linalg.svd(z.T, full_matrices=False)  # q^T m
+        if prev is not None:  # two baseline power iterations
             denom = np.where(prev[:rank] > 0, prev[:rank], 1.0)
             if np.max(np.abs(s[:rank] - prev[:rank]) / denom) < 1e-9:
                 break

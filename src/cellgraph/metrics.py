@@ -456,13 +456,3 @@ def write_report(report: MetricReport, path):
     with open(path, "w", encoding="utf-8") as fh:
         for name in MetricReport.FIELDS:
             fh.write(f"{name} = {getattr(report, name):.6f}\n")
-
-
-def read_report(path) -> dict[str, float]:
-    out = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                key, _, value = line.partition("=")
-                out[key.strip()] = float(value)
-    return out

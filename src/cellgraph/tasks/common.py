@@ -36,9 +36,6 @@ class TrainProtocol:
         if self.lr_decay_every < 1:
             raise ValueError("lr_decay_every must be >= 1")
 
-    def resolved_lr(self, task_default: float) -> float:
-        return task_default if self.lr is None else self.lr
-
 
 def split_cells(n: int, fraction: float, seed: int):
     """Shuffled (train, validation) index split."""
@@ -77,7 +74,7 @@ def run_training(store: ParamStore, train_epoch, validate,
     Returns (best_val, best_epoch, history).
     """
     protocol.validate()
-    base_lr = protocol.resolved_lr(task_default_lr)
+    base_lr = task_default_lr if protocol.lr is None else protocol.lr
     best_val = np.inf
     best_epoch = -1
     best_snap = store.snapshot()

@@ -127,20 +127,26 @@ def train_joint_embedding(m1: SparseMatrix, m2: SparseMatrix, cell_types,
     n = m1.n_rows
     train_idx, val_idx = split_cells(n, protocol.split_fraction, protocol.seed)
 
-    def build_loss(tape: Tape, rows):
-        h_all = decoupled_forward(tape, states, cfg.conv)
+    def build_loss(tape: Tape, h, rows):
         total, _, _, _ = joint_embedding_loss(
-            tape, tape.take(h_all, rows), x[rows], labels[rows], n_types,
-            cfg.beta
+            tape, h, x[rows], labels[rows], n_types, cfg.beta
         )
         return total
 
     def train_epoch(tape: Tape):
-        return build_loss(tape, train_idx)
+        # the MLP runs on all n rows before the take: its dropout draws
+        # one mask over every row, so gathering first would change them
+        h_all = decoupled_forward(tape, states, cfg.conv)
+        return build_loss(tape, tape.take(h_all, train_idx), train_idx)
+
+    # the MLP is row-wise and eval mode draws nothing, so validation
+    # gathers its rows before it
+    val_states = [s[val_idx] for s in states]
 
     def validate() -> float:
         tape = Tape(store, train=False)
-        return float(np.asarray(tape.value(build_loss(tape, val_idx))))
+        h = decoupled_forward(tape, val_states, cfg.conv)
+        return float(np.asarray(tape.value(build_loss(tape, h, val_idx))))
 
     best_val, best_epoch, history = run_training(
         store, train_epoch, validate, protocol, EMBED_LR

@@ -221,6 +221,20 @@ class TestSolveAgainstReference:
             partial += mine.partial
         assert partial > 0
 
+    @pytest.mark.parametrize("shape", [(70, 400), (400, 70)])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_wide_and_tall_filtered_match_reference(self, shape, integer):
+        # far from square, so most rows or columns of the squared problem
+        # are padding
+        rng = np.random.default_rng(12)
+        profits = (rng.integers(0, 3, size=shape).astype(float) if integer
+                   else rng.standard_normal(shape))
+        problem = AssignmentProblem(profits, percentile_filter(profits, 95.0))
+        mine, expected = solve(problem), reference_solve(problem)
+        assert mine.pairs == expected.pairs
+        assert mine.total == expected.total
+        assert mine.partial == expected.partial
+
 
 @pytest.fixture
 def shallow_stack():

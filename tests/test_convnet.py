@@ -3,8 +3,7 @@ import pytest
 
 from cellgraph.autodiff import ParamStore, Tape, finite_difference_check
 from cellgraph.convnet import (ConvConfig, TASK_LAYER_COUNTS, conv_layer,
-                               decoupled_forward, decoupled_propagate,
-                               default_layer_count, forward,
+                               decoupled_forward, decoupled_propagate, forward,
                                init_decoupled_params, init_params,
                                input_transform, readout)
 from cellgraph.graph import (EdgeScaling, GeneSetCollection,
@@ -378,9 +377,6 @@ class TestForward:
 
 class TestTaskDefaults:
     def test_layer_counts(self):
-        assert default_layer_count("predict") == 4
-        assert default_layer_count("match") == 3
-        assert default_layer_count("embed") == 2
         assert TASK_LAYER_COUNTS == {"predict": 4, "match": 3, "embed": 2}
 
     def test_config_validation(self):

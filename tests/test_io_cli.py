@@ -1,6 +1,9 @@
+import ast
 import dataclasses
 import filecmp
+import importlib
 import os
+import pathlib
 import re
 
 import numpy as np
@@ -9,12 +12,15 @@ import pytest
 from cellgraph.cli import cli_dispatch
 from cellgraph.config import (ConfigError, RunConfig, apply_setting,
                               load_config_file)
+from cellgraph.convnet import ConvConfig
 from cellgraph.data import (Dataset, generate_synthetic, load_dataset,
                             load_gene_sets, load_labels, load_real_array,
                             load_sparse_matrix, read_kv, save_dataset,
                             write_dense_matrix, write_kv, write_labels,
                             write_real_array, write_sparse_matrix)
+from cellgraph.graph import EdgeScaling
 from cellgraph.linalg import SparseMatrix
+from cellgraph.tasks import MatcherConfig
 
 
 class TestSparseMatrixFile:
@@ -246,7 +252,7 @@ class TestConfig:
         path.write_text("# a comment\nseed = 7\nconv.n_layers = 3\n"
                         "train.lr = 0.005  # inline comment\n")
         cfg = load_config_file(path)
-        assert cfg.seed == 7 and cfg.n_layers == 3 and cfg.lr == 0.005
+        assert cfg.seed == 7 and cfg.n_layers == 3 and cfg.train.lr == 0.005
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -256,15 +262,15 @@ class TestConfig:
 
     def test_validation_bounds(self):
         cfg = RunConfig()
-        cfg.alpha = 1.5
+        cfg.conv.alpha = 1.5
         with pytest.raises(ConfigError, match="alpha"):
             cfg.validate()
         cfg = RunConfig()
-        cfg.split_fraction = 1.0
+        cfg.train.split_fraction = 1.0
         with pytest.raises(ConfigError, match="split_fraction"):
             cfg.validate()
         cfg = RunConfig()
-        cfg.percentile = 100.0
+        cfg.match.percentile = 100.0
         with pytest.raises(ConfigError, match="percentile"):
             cfg.validate()
 
@@ -281,7 +287,8 @@ class TestConfig:
             cfg.validate()
 
     def test_error_names_every_key_it_mentions(self):
-        cfg = RunConfig(task="match", groups=5)
+        cfg = RunConfig(task="match")
+        cfg.conv.n_groups = 5
         with pytest.raises(ConfigError, match="^conv: conv.groups must "
                            "divide conv.hidden_dim"):
             cfg.validate()
@@ -295,17 +302,49 @@ class TestConfig:
                         "conv.n_layers = default\n"
                         "train.lr = default\n", encoding="utf-8")
         loaded = load_config_file(path)
-        assert loaded.alpha == "learnable"
-        assert loaded.percentile == 90.0
-        assert loaded.n_layers is None and loaded.lr is None
-        assert loaded == dataclasses.replace(RunConfig(), alpha="learnable",
-                                             percentile=90.0)
+        assert loaded.conv.alpha == "learnable"
+        assert loaded.match.percentile == 90.0
+        assert loaded.n_layers is None and loaded.train.lr is None
+        expected = RunConfig()
+        expected.conv.alpha = "learnable"
+        expected.match.percentile = 90.0
+        assert loaded == expected
+
+    def test_quoted_value_not_renamed(self):
+        cfg = RunConfig(task="match")
+        apply_setting(cfg, "conv.residual", "alpha")
+        with pytest.raises(ConfigError, match="got 'alpha'$"):
+            cfg.validate()
 
     def test_task_layer_defaults(self):
         cfg = RunConfig()
         assert cfg.conv_config("predict").n_layers == 4
         assert cfg.conv_config("match").n_layers == 3
         assert cfg.conv_config("embed").n_layers == 2
+
+    def test_conv_settings_reach_matcher_and_embed(self):
+        cfg = RunConfig()
+        for setting in ["conv.hidden_dim=24", "conv.dropout=0.1",
+                        "conv.alpha=learnable", "conv.residual=skip",
+                        "conv.norm=min_max", "conv.groups=3"]:
+            apply_setting(cfg, *setting.split("="))
+        want = ConvConfig(hidden_dim=24, dropout_rate=0.1, alpha="learnable",
+                          residual_mode="skip",
+                          aggregation_norm=EdgeScaling.MIN_MAX, n_groups=3)
+        matcher = cfg.matcher_config()
+        assert matcher.conv == dataclasses.replace(want, n_layers=3)
+        assert cfg.embed_config().conv == dataclasses.replace(want, n_layers=2)
+        # the run's conv replaces the matcher's own, and nothing else moves
+        default = MatcherConfig()
+        assert dataclasses.replace(matcher, conv=default.conv) == default
+
+    @pytest.mark.parametrize("command", ["predict", "match", "embed"])
+    def test_bad_norm_exit_1_naming_the_key(self, tmp_path, command, capsys):
+        # the (missing) dataset is never read
+        assert cli_dispatch([command, "--data", str(tmp_path / "nowhere"),
+                             "--set", "conv.norm=l2"]) == 1
+        assert "config error: bad value for conv.norm: 'l2'" in (
+            capsys.readouterr().err)
 
 
 def run_cli(*args):
@@ -550,3 +589,21 @@ class TestKvFormat:
         path = tmp_path / "x.txt"
         write_real_array(values, path)
         assert np.array_equal(load_real_array(path), values)
+
+
+class TestBenchmarkPhases:
+    def test_every_phase_site_resolves(self):
+        # the benchmark times its phases by patching these names; one that
+        # no longer resolves fails every benchmark run with missing marks
+        path = (pathlib.Path(__file__).parents[1] / "perfbench" / "child.py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        phases = next(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign)
+                      and [t.id for t in node.targets] == ["PHASES"])
+        sites = [site for group in phases.values() for site in group]
+        assert len(sites) == 5
+        for module, attrs in sites:
+            obj = importlib.import_module(module)
+            for attr in attrs.split("."):
+                obj = getattr(obj, attr)
+            assert callable(obj), f"{module}.{attrs}"

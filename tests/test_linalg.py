@@ -365,3 +365,41 @@ class TestTruncatedSvd:
             truncated_svd(m, 0, seed=0)
         with pytest.raises(ValueError):
             truncated_svd(m, 5, seed=0)
+
+
+def reference_truncated_svd(m, rank, seed):
+    """The power iteration that computed m^T q twice per step, kept as the
+    oracle; returns (U, s, power steps)."""
+    rng = np.random.default_rng(seed)
+    width = min(rank + 8, min(m.n_rows, m.n_cols))
+    mt = m.transpose()
+    omega = rng.standard_normal((m.n_cols, width))
+    q, _ = np.linalg.qr(spmm(m, omega))
+    prev = None
+    for it in range(40):
+        q, _ = np.linalg.qr(spmm(m, spmm(mt, q)))
+        b = spmm(mt, q).T
+        ub, s, _ = np.linalg.svd(b, full_matrices=False)
+        if it >= 1 and prev is not None:
+            denom = np.where(prev[:rank] > 0, prev[:rank], 1.0)
+            if np.max(np.abs(s[:rank] - prev[:rank]) / denom) < 1e-9:
+                break
+        prev = s
+    return q @ ub[:, :rank], s[:rank].copy(), it + 1
+
+
+class TestTruncatedSvdAgainstReference:
+    @pytest.mark.parametrize("shape, per_row", [((60, 45), 20),
+                                                ((2100, 2000), 12)])
+    def test_bitwise_equal_with_two_products_per_step(self, shape, per_row):
+        rng = np.random.default_rng(14)
+        n_rows, n_cols = shape
+        m = csr_from_rows(n_cols, [rng.choice(n_cols, per_row, replace=False)
+                                   for _ in range(n_rows)], rng)
+        # the small operator takes spmm's dense fork, the large one CSR
+        assert (m._dense_for_matmul() is None) == (n_rows > 1000)
+        u_ref, s_ref, steps = reference_truncated_svd(m, 6, seed=5)
+        with mock.patch.object(linalg, "spmm", wraps=spmm) as counted:
+            u, s = truncated_svd(m, 6, seed=5)
+        assert np.array_equal(u, u_ref) and np.array_equal(s, s_ref)
+        assert counted.call_count == 2 + 2 * steps

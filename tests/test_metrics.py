@@ -5,12 +5,13 @@ import pytest
 
 from cellgraph import metrics
 from cellgraph.cli import _metric_suite
+from cellgraph.data import read_kv
 from cellgraph.metrics import (KnnGraph, MetricReport, aggregate, batch_asw,
                                cell_cycle_conservation, cell_type_asw,
                                graph_connectivity, knn_graph, louvain,
                                louvain_edges, nmi,
                                nmi_cluster_label, pseudotime_from_root,
-                               read_report, silhouette_asw, spearman,
+                               silhouette_asw, spearman,
                                trajectory_conservation, variance_explained,
                                write_report)
 
@@ -668,11 +669,11 @@ class TestAggregate:
         rep = aggregate(0.5, 0.25, 1.0, 0.75, 0.5, 1.0)
         path = tmp_path / "metrics.kv"
         write_report(rep, path)
-        loaded = read_report(path)
+        loaded = read_kv(path)
         assert set(loaded) == set(MetricReport.FIELDS)
         for name in MetricReport.FIELDS:
-            assert loaded[name] == pytest.approx(getattr(rep, name),
-                                                 abs=1e-6)
+            assert float(loaded[name]) == pytest.approx(
+                getattr(rep, name), abs=1e-6)
 
 
 class TestRangeInvariants:
