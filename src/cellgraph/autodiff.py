@@ -172,6 +172,25 @@ class Tape:
 
         return self._derived(out, (a, b), vjp)
 
+    def affine(self, x: int, w: int, b: int, relu: bool = False) -> int:
+        """x @ w + b for a (1, d) bias b, zeroed where not > 0 if relu: the
+        matmul -> add (-> relu) chain as one node that keeps its output."""
+        xv, wv, bv = self.value(x), self.value(w), self.value(b)
+        if xv.shape[1] != wv.shape[0] or bv.shape != (1, wv.shape[1]):
+            raise _shape_error("affine", xv.shape, wv.shape, bv.shape)
+        out = xv @ wv
+        out += bv
+        if relu:
+            out[~(out > 0)] = 0.0
+        x_grad = self.nodes[x].needs_grad
+
+        def vjp(g):
+            g = g * (out > 0) if relu else g
+            return (g @ wv.T if x_grad else None, xv.T @ g,
+                    g.sum(axis=0, keepdims=True))
+
+        return self._derived(out, (x, w, b), vjp)
+
     def spmm_const(self, s: SparseMatrix, x: int) -> int:
         xv = self.value(x)
         out = spmm(s, xv)  # raises on shape mismatch

@@ -115,13 +115,13 @@ def _run_synth(cfg: RunConfig) -> int:
     ds = dio.generate_synthetic(
         cfg.cells, dims=(cfg.dim1, cfg.dim2), n_types=cfg.types,
         n_batches=cfg.batches, noise=cfg.noise, dropout=cfg.synth_dropout,
-        seed=cfg.seed,
+        seed=cfg.train.seed,
     )
     out = _out_dir(cfg, "synth_out")
     dio.save_dataset(ds, out)
     dio.write_kv({"task": "synth", "n_cells": cfg.cells,
                   "n_types": cfg.types, "n_batches": cfg.batches,
-                  "seed": cfg.seed}, os.path.join(out, "report.kv"))
+                  "seed": cfg.train.seed}, os.path.join(out, "report.kv"))
     print(f"wrote dataset to {out}")
     return 0
 
@@ -148,7 +148,7 @@ def _run_predict(cfg: RunConfig) -> int:
         "epochs_run": len(model.history),
         "n_cells": g.n_cells,
         "n_layers": conv.n_layers,
-        "seed": cfg.seed,
+        "seed": cfg.train.seed,
     }, os.path.join(out, "report.kv"))
     save_checkpoint(model.store, os.path.join(out, "model.ckpt"))
     dio.write_dense_matrix(model.predict(), os.path.join(out,
@@ -179,7 +179,7 @@ def _run_match(cfg: RunConfig) -> int:
         "score_assignment": scores["score_assignment"],
         "top1_accuracy": scores["top1_accuracy"],
         "percentile": cfg.match.percentile,
-        "seed": cfg.seed,
+        "seed": cfg.train.seed,
     }, os.path.join(out, "report.kv"))
     save_checkpoint(model.store, os.path.join(out, "model.ckpt"))
     with open(os.path.join(out, "assignment.txt"), "w",
@@ -212,14 +212,14 @@ def _run_embed(cfg: RunConfig) -> int:
         "epochs_run": len(model.history),
         "n_cells": ds.n_cells,
         "n_types": emb.cell_type_dims,
-        "seed": cfg.seed,
+        "seed": cfg.train.seed,
     }
     dio.write_kv(report, os.path.join(out, "report.kv"))
     save_checkpoint(model.store, os.path.join(out, "model.ckpt"))
     metrics_report = _metric_suite(
         emb.embedding, ds.cell_type_labels, ds.batch_labels, cfg.knn_k,
         pseudotime_before=ds.pseudotime, cc_scores=ds.cc_scores,
-        pre_embedding=model.states[0], seed=cfg.seed,
+        pre_embedding=model.states[0], seed=cfg.train.seed,
     )
     met.write_report(metrics_report, os.path.join(out, "metrics.kv"))
     print(f"embedding written; overall metric {metrics_report.overall:.6f}")
@@ -275,7 +275,8 @@ def _run_eval(args, cfg: RunConfig) -> int:
             raise ValueError(f"{path}: {len(values)} entries, but the "
                              f"embedding {args.embedding} has {n} rows")
     report = _metric_suite(embedding, cell_types, batch_labels, cfg.knn_k,
-                           pseudotime, cc_scores, pre_embedding, cfg.seed)
+                           pseudotime, cc_scores, pre_embedding,
+                           cfg.train.seed)
     out = _out_dir(cfg, ".")
     met.write_report(report, os.path.join(out, "metrics.kv"))
     for name in met.MetricReport.FIELDS:

@@ -32,18 +32,20 @@ def _validated(section: str, obj):
 class RunConfig:
     """Every knob of every pipeline, with conservative defaults. The conv,
     train, match and embed keys set fields of the objects they configure;
-    a run's conv replaces the conv of `match` and `embed`."""
+    a run's conv, whose n_layers of None means the task's default
+    (4 / 3 / 2), takes the place of the conv of `match` and `embed`, which
+    stays None."""
 
     task: str = ""
     data: str = ""
     out: str = ""
-    seed: int = 0
-    n_layers: int | None = None  # None: task default (4 / 3 / 2)
-    conv: ConvConfig = field(default_factory=ConvConfig)
+    conv: ConvConfig = field(
+        default_factory=lambda: ConvConfig(n_layers=None))
     gene_sets: str = ""
     train: TrainProtocol = field(default_factory=TrainProtocol)
-    match: MatcherConfig = field(default_factory=MatcherConfig)
-    embed: EmbedConfig = field(default_factory=EmbedConfig)
+    match: MatcherConfig = field(
+        default_factory=lambda: MatcherConfig(conv=None))
+    embed: EmbedConfig = field(default_factory=lambda: EmbedConfig(conv=None))
     # metrics.*
     knn_k: int = 15
     # synth.*
@@ -60,6 +62,9 @@ class RunConfig:
         the objects they build. A task that builds no network checks
         conv.alpha, conv.dropout and conv.residual, not the network's
         shape."""
+        for name in ("match", "embed"):
+            if getattr(self, name).conv is not None:
+                raise ConfigError(f"{name}.conv is set by the conv.* keys")
         if not 0.0 <= self.match.percentile < 100.0:
             raise ConfigError("match.percentile must be in [0, 100)")
         if self.knn_k < 1:
@@ -80,15 +85,15 @@ class RunConfig:
     # -- builders ----------------------------------------------------------
 
     def conv_config(self, task: str) -> ConvConfig:
-        layers = (TASK_LAYER_COUNTS[task] if self.n_layers is None
-                  else self.n_layers)
+        layers = (TASK_LAYER_COUNTS[task] if self.conv.n_layers is None
+                  else self.conv.n_layers)
         if task == "predict" and layers < 1:
             raise ConfigError("conv: conv.n_layers must be >= 1 for predict, "
                               "whose readout mixes the per-layer cell states")
         return _validated("conv", replace(self.conv, n_layers=layers))
 
     def protocol(self) -> TrainProtocol:
-        return _validated("train", replace(self.train, seed=self.seed))
+        return _validated("train", replace(self.train))
 
     def matcher_config(self) -> MatcherConfig:
         return replace(self.match, conv=self.conv_config("match"))
@@ -122,8 +127,8 @@ CONFIG_KEYS: dict[str, tuple[str, object]] = {
     "task": ("task", str),
     "data": ("data", str),
     "out": ("out", str),
-    "seed": ("seed", int),
-    "conv.n_layers": ("n_layers", _parse_optional_int),
+    "seed": ("train.seed", int),
+    "conv.n_layers": ("conv.n_layers", _parse_optional_int),
     "conv.hidden_dim": ("conv.hidden_dim", int),
     "conv.dropout": ("conv.dropout_rate", float),
     "conv.alpha": ("conv.alpha", _parse_alpha),

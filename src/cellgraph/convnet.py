@@ -52,8 +52,10 @@ class ConvConfig:
 
 def init_params(g: CellFeatureGraph, x: NodeEmbeddings, cfg: ConvConfig,
                 store: ParamStore, seed: int):
-    """Register every parameter the (coupled) forward pass will read, the
-    pathway channel's among them when the graph has pathway edges."""
+    """Register every parameter of the coupled network, the pathway
+    channel's among them when the graph has pathway edges. The last
+    layer's uv and vv weights keep their place in the draws, though the
+    forward pass, which computes no last feature update, reads none."""
     cfg.validate()
     rng = np.random.default_rng(seed)
     d = cfg.hidden_dim
@@ -95,18 +97,15 @@ def init_decoupled_params(n_input_features: int, cfg: ConvConfig,
 def input_transform(tape: Tape, x: NodeEmbeddings):
     """H1 = relu(X W + b), separately per node type; for one-hot feature
     input X W is W itself."""
-    cell = tape.relu(
-        tape.add(tape.matmul(tape.constant(x.cell_embed),
-                             tape.param("in.cell.w")),
-                 tape.param("in.cell.b"))
-    )
-    feat_w = tape.param("in.feat.w")
-    if x.feature_embed is not None:
-        feat_in = (tape.param(x.feature_param) if x.feature_param
-                   else tape.constant(x.feature_embed))
-        feat_w = tape.matmul(feat_in, feat_w)
-    feat = tape.relu(tape.add(feat_w, tape.param("in.feat.b")))
-    return cell, feat
+    cell = tape.affine(tape.constant(x.cell_embed), tape.param("in.cell.w"),
+                       tape.param("in.cell.b"), relu=True)
+    if x.feature_embed is None:
+        return cell, tape.relu(tape.add(tape.param("in.feat.w"),
+                                        tape.param("in.feat.b")))
+    feat_in = (tape.param(x.feature_param) if x.feature_param
+               else tape.constant(x.feature_embed))
+    return cell, tape.affine(feat_in, tape.param("in.feat.w"),
+                             tape.param("in.feat.b"), relu=True)
 
 
 def _message(tape: Tape, operator, h_source: int, layer: int, channel: str,
@@ -114,8 +113,8 @@ def _message(tape: Tape, operator, h_source: int, layer: int, channel: str,
     """sigma(b + aggregated neighbors @ W), group-normalized in POST_NORM."""
     p = f"l{layer}.{channel}"
     agg = tape.spmm_const(operator, h_source)
-    msg = tape.relu(tape.add(tape.matmul(agg, tape.param(p + ".w")),
-                             tape.param(p + ".b")))
+    msg = tape.affine(agg, tape.param(p + ".w"), tape.param(p + ".b"),
+                      relu=True)
     if cfg.aggregation_norm is EdgeScaling.POST_NORM:
         msg = tape.group_norm(msg, tape.param(p + ".gn.g"),
                               tape.param(p + ".gn.b"), n_groups=cfg.n_groups)
@@ -123,33 +122,39 @@ def _message(tape: Tape, operator, h_source: int, layer: int, channel: str,
 
 
 def conv_layer(tape: Tape, operators, h_cell: int, h_feat: int, layer: int,
-               cfg: ConvConfig, h0_cell: int, h0_feat: int):
+               cfg: ConvConfig, h0_cell: int, h0_feat: int,
+               last: bool = False):
     """One coupled layer: bidirectional messages plus residual updates.
 
     operators is the (cells_from_features, features_from_cells,
     features_from_features) triple from CellFeatureGraph.operators(mode);
-    the pathway channel runs when the third exists.
+    the pathway channel runs when the third exists. The last layer records
+    the cell side only, since nothing reads its feature update, and
+    returns None in its place.
     """
     cells_from_features, features_from_cells, features_from_features = operators
-    m_uv = _message(tape, features_from_cells, h_cell, layer, "uv", cfg)
+    skip = cfg.residual_mode == "skip"
+    # uv before the cell update and vv after vu, so that every state's
+    # gradient sums its parts in the same order whether or not last
+    m_uv = (None if last else
+            _message(tape, features_from_cells, h_cell, layer, "uv", cfg))
     m_vu = _message(tape, cells_from_features, h_feat, layer, "vu", cfg)
-    cell_base = h0_cell if cfg.residual_mode == "initial" else h_cell
-    feat_base = h0_feat if cfg.residual_mode == "initial" else h_feat
+    new_cell = tape.add(h_cell if skip else h0_cell, m_vu)
+    if cfg.dropout_rate > 0:
+        new_cell = tape.dropout(new_cell, cfg.dropout_rate)
+    if last:
+        return new_cell, None
     if features_from_features is not None:
         m_vv = _message(tape, features_from_features, h_feat, layer, "vv",
                         cfg)
         if cfg.alpha == "learnable":
-            mixed = tape.scalar_mix([m_vv, m_uv], tape.param("alpha"),
-                                    tied=True)
+            m_uv = tape.scalar_mix([m_vv, m_uv], tape.param("alpha"),
+                                   tied=True)
         else:
             a = float(cfg.alpha)
-            mixed = tape.scalar_mix([m_vv, m_uv], np.array([a, 1.0 - a]))
-        new_feat = tape.add(feat_base, mixed)
-    else:
-        new_feat = tape.add(feat_base, m_uv)
-    new_cell = tape.add(cell_base, m_vu)
+            m_uv = tape.scalar_mix([m_vv, m_uv], np.array([a, 1.0 - a]))
+    new_feat = tape.add(h_feat if skip else h0_feat, m_uv)
     if cfg.dropout_rate > 0:
-        new_cell = tape.dropout(new_cell, cfg.dropout_rate)
         new_feat = tape.dropout(new_feat, cfg.dropout_rate)
     return new_cell, new_feat
 
@@ -197,16 +202,12 @@ def decoupled_forward(tape: Tape, states: list[np.ndarray], cfg: ConvConfig,
     p = prefix
     transformed = []
     for s in states:
-        hidden = tape.relu(
-            tape.add(tape.matmul(tape.constant(s), tape.param(p + "dec.w1")),
-                     tape.param(p + "dec.b1"))
-        )
+        hidden = tape.affine(tape.constant(s), tape.param(p + "dec.w1"),
+                             tape.param(p + "dec.b1"), relu=True)
         if cfg.dropout_rate > 0:
             hidden = tape.dropout(hidden, cfg.dropout_rate)
-        transformed.append(
-            tape.add(tape.matmul(hidden, tape.param(p + "dec.w2")),
-                     tape.param(p + "dec.b2"))
-        )
+        transformed.append(tape.affine(hidden, tape.param(p + "dec.w2"),
+                                       tape.param(p + "dec.b2")))
     return tape.scalar_mix(transformed, tape.param(p + "readout.w"))
 
 
@@ -223,6 +224,7 @@ def forward(tape: Tape, g: CellFeatureGraph, x: NodeEmbeddings,
     cell_states = []
     for layer in range(1, cfg.n_layers + 1):
         h_cell, h_feat = conv_layer(tape, operators, h_cell, h_feat, layer,
-                                    cfg, h0_cell, h0_feat)
+                                    cfg, h0_cell, h0_feat,
+                                    last=layer == cfg.n_layers)
         cell_states.append(h_cell)
     return readout(tape, cell_states)

@@ -108,6 +108,15 @@ def _op_checks(seed: int) -> dict[str, float]:
     check("l2_penalty",
           lambda t: t.l2_penalty(t.param("x")),
           {"x": _away_from_zero(rng, (n, d))})
+    # appended last, so that the draws of the checks above do not move
+    for name, relu in (("affine", False), ("affine_relu", True)):
+        check(name,
+              lambda t, relu=relu: t.mse(t.affine(t.param("x"), t.param("w"),
+                                                  t.param("b"), relu=relu),
+                                         target),
+              {"x": rng.standard_normal((n, d)),
+               "w": rng.standard_normal((d, d)),
+               "b": rng.standard_normal((1, d))})
     return results
 
 
@@ -171,8 +180,7 @@ def full_network_check(seed: int = 0) -> float:
 
     def build(tape: Tape):
         h_hat = forward(tape, g, x, cfg)
-        pred = tape.add(tape.matmul(h_hat, tape.param("head.w")),
-                        tape.param("head.b"))
+        pred = tape.affine(h_hat, tape.param("head.w"), tape.param("head.b"))
         return tape.rmse(pred, target)
 
     return finite_difference_check(build, store)

@@ -165,36 +165,41 @@ def _louvain_level(n, indptr, nbrs, wts, self_w, resolution, order):
         return np.arange(n)
     indptr, nbrs, wts = indptr.tolist(), nbrs.tolist(), wts.tolist()
     degree = degree.tolist()
+    scaled = [resolution * d for d in degree]
     community = list(range(n))
     tot = list(degree)
+    # each node's weight to each neighbouring community, with the sorted
+    # communities, kept from its last visit until one of its neighbours moves
+    kept: list = [None] * n
     moved = True
     while moved:
         moved = False
         for node in order.tolist():
             com = community[node]
-            weights_to: dict[int, float] = {}
             lo, hi = indptr[node], indptr[node + 1]
-            for nbr, w in zip(nbrs[lo:hi], wts[lo:hi]):
-                weights_to[community[nbr]] = (
-                    weights_to.get(community[nbr], 0.0) + w
-                )
+            if kept[node] is None:
+                weights_to: dict[int, float] = {}
+                for nbr, w in zip(nbrs[lo:hi], wts[lo:hi]):
+                    weights_to[community[nbr]] = (
+                        weights_to.get(community[nbr], 0.0) + w
+                    )
+                kept[node] = (weights_to, sorted(weights_to))
+            weights_to, candidates = kept[node]
             tot[com] -= degree[node]
-            base = weights_to.get(com, 0.0) - resolution * degree[node] * (
-                tot[com] / two_m
-            )
+            base = weights_to.get(com, 0.0) - scaled[node] * (tot[com] / two_m)
             best_com, best_gain = com, base
-            for cand in sorted(weights_to):
+            for cand in candidates:
                 if cand == com:
                     continue
-                gain = weights_to[cand] - resolution * degree[node] * (
-                    tot[cand] / two_m
-                )
+                gain = weights_to[cand] - scaled[node] * (tot[cand] / two_m)
                 if gain > best_gain + 1e-12:
                     best_com, best_gain = cand, gain
             tot[best_com] += degree[node]
             if best_com != com:
                 community[node] = best_com
                 moved = True
+                for nbr in nbrs[lo:hi]:
+                    kept[nbr] = None
     return np.array(community)
 
 

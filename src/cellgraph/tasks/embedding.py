@@ -53,10 +53,10 @@ def joint_embedding_loss(tape: Tape, h: int, x_lsi, cell_types, n_types: int,
     labels = np.asarray(cell_types, dtype=np.int64)
     if labels.max(initial=-1) >= n_types:
         raise ValueError("label index out of range")
-    hidden = tape.relu(tape.add(tape.matmul(h, tape.param("je.w1")),
-                                tape.param("je.b1")))
-    recon = tape.mse(tape.add(tape.matmul(hidden, tape.param("je.w2")),
-                              tape.param("je.b2")),
+    hidden = tape.affine(h, tape.param("je.w1"), tape.param("je.b1"),
+                         relu=True)
+    recon = tape.mse(tape.affine(hidden, tape.param("je.w2"),
+                                 tape.param("je.b2")),
                      np.asarray(x_lsi, dtype=np.float64))
     logits = tape.take(h, np.arange(n_types), axis=1)
     celltype = tape.cross_entropy_rows(logits, np.maximum(labels, 0),

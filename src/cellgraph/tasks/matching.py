@@ -64,10 +64,10 @@ def logit_scale(store: ParamStore) -> float:
 
 
 def _aux_net(tape: Tape, h: int, name: str) -> int:
-    hidden = tape.relu(tape.add(tape.matmul(h, tape.param(name + ".w1")),
-                                tape.param(name + ".b1")))
-    return tape.add(tape.matmul(hidden, tape.param(name + ".w2")),
-                    tape.param(name + ".b2"))
+    hidden = tape.affine(h, tape.param(name + ".w1"),
+                         tape.param(name + ".b1"), relu=True)
+    return tape.affine(hidden, tape.param(name + ".w2"),
+                       tape.param(name + ".b2"))
 
 
 def _relative_targets(x: np.ndarray) -> np.ndarray:

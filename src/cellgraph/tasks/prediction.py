@@ -55,8 +55,7 @@ class PredictionModel:
         """Eval-mode forward pass through the trained head."""
         tape = Tape(self.store, train=False)
         h_hat = forward(tape, self.graph, self.embeddings, self.cfg)
-        out = tape.add(tape.matmul(h_hat, tape.param("head.w")),
-                       tape.param("head.b"))
+        out = tape.affine(h_hat, tape.param("head.w"), tape.param("head.b"))
         return tape.value(out).copy()
 
 
@@ -92,15 +91,14 @@ def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
 
     def train_epoch(tape: Tape):
         h_hat = forward(tape, g_train, x, cfg)
-        pred = tape.add(tape.matmul(h_hat, tape.param("head.w")),
-                        tape.param("head.b"))
+        pred = tape.affine(h_hat, tape.param("head.w"), tape.param("head.b"))
         return tape.rmse(tape.take(pred, train_idx), target_train)
 
     def validate() -> float:
         tape = Tape(store, train=False)
         h_hat = forward(tape, g, x, cfg)
-        pred = tape.value(tape.add(tape.matmul(h_hat, tape.param("head.w")),
-                                   tape.param("head.b")))
+        pred = tape.value(tape.affine(h_hat, tape.param("head.w"),
+                                      tape.param("head.b")))
         return rmse_loss(pred[val_idx], target[val_idx])
 
     best_val, best_epoch, history = run_training(

@@ -84,6 +84,58 @@ class TestForwardOps:
             assert np.array_equal(store.grad("x"), expected)
 
 
+def chain_affine(t, x, w, b, relu=False):
+    """The matmul -> add (-> relu) chain that Tape.affine stands for."""
+    out = t.add(t.matmul(x, w), b)
+    return t.relu(out) if relu else out
+
+
+class TestAffine:
+    @pytest.mark.parametrize("relu", [False, True])
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("x_is_param", [True, False])
+    def test_bitwise_equal_to_the_chain(self, relu, rows, x_is_param):
+        rng = np.random.default_rng(rows + 2 * relu + 4 * x_is_param)
+        x, w, b = (rng.standard_normal(shape)
+                   for shape in ((rows, 5), (5, 4), (1, 4)))
+        target = rng.standard_normal((rows, 4))
+        results = []
+        for op in (chain_affine, Tape.affine):
+            store = store_with(x=x, w=w, b=b)
+            t = Tape(store)
+            xh = t.param("x") if x_is_param else t.constant(x)
+            out = op(t, xh, t.param("w"), t.param("b"), relu=relu)
+            # with one row, the chain's bias gradient is g itself and
+            # affine's a sum over that one row
+            t.backward(t.mse(out, target))
+            results.append([t.value(out)] + [store.grad(k)
+                                              for k in ("x", "w", "b")])
+        for chain_value, affine_value in zip(*results):
+            assert np.array_equal(chain_value, affine_value)
+
+    def test_relu_zeroes_what_is_not_positive(self):
+        t = Tape(store_with(w=np.eye(3), b=np.zeros((1, 3))))
+        # a NaN input spreads over its row, which relu zeroes as the chain's
+        out = t.affine(t.constant([[-1.0, 0.0, 2.0], [np.nan, 0.0, 1.0]]),
+                       t.param("w"), t.param("b"), relu=True)
+        assert np.array_equal(t.value(out), [[0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+        assert not np.signbit(t.value(out)).any()
+
+    def test_constant_input_gets_no_gradient(self):
+        t = Tape(store_with(w=np.ones((2, 3)), b=np.zeros((1, 3))))
+        out = t.affine(t.constant(np.ones((4, 2))), t.param("w"),
+                       t.param("b"), relu=True)
+        gx, gw, gb = t.nodes[out].vjp(np.ones((4, 3)))
+        assert gx is None
+        assert np.array_equal(gw, np.full((2, 3), 4.0))
+        assert np.array_equal(gb, np.full((1, 3), 4.0))
+
+    def test_rejects_mismatched_shapes(self):
+        t = Tape(store_with(w=np.ones((2, 3)), b=np.zeros((1, 2))))
+        with pytest.raises(ValueError, match="affine"):
+            t.affine(t.constant(np.ones((4, 2))), t.param("w"), t.param("b"))
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         store = store_with(w=np.arange(6.0).reshape(2, 3))

@@ -7,9 +7,10 @@ from cellgraph.convnet import (ConvConfig, TASK_LAYER_COUNTS, conv_layer,
                                init_decoupled_params, init_params,
                                input_transform, readout)
 from cellgraph.graph import (EdgeScaling, GeneSetCollection,
-                             augment_with_pathways, build_bipartite,
-                             init_embeddings)
+                             NodeEmbeddings, augment_with_pathways,
+                             build_bipartite, init_embeddings)
 from cellgraph.linalg import SparseMatrix, spmm, standardize_rows
+from cellgraph.tasks import TrainProtocol, prediction
 
 
 SYM = EdgeScaling.SYMMETRIC
@@ -387,3 +388,205 @@ class TestTaskDefaults:
         with pytest.raises(ValueError):
             ConvConfig(hidden_dim=5, n_groups=2).validate()
         ConvConfig(alpha="learnable").validate()
+
+
+# ---------------------------------------------------------------------------
+# the network as it was recorded with the matmul -> add -> relu chain and
+# with both halves of every layer
+
+
+def reference_affine(tape, x, w, b, relu=False):
+    """Tape.affine as the matmul -> add (-> relu) chain it stands for."""
+    out = tape.add(tape.matmul(x, w), b)
+    return tape.relu(out) if relu else out
+
+
+def reference_forward(tape, g, x, cfg):
+    """forward() with every dense layer as the three-node chain and the
+    last layer's feature update recorded, though nothing reads it."""
+    operators = g.operators(cfg.aggregation_norm)
+    rate = cfg.dropout_rate
+
+    def message(operator, h, layer, channel):
+        p = f"l{layer}.{channel}"
+        msg = reference_affine(tape, tape.spmm_const(operator, h),
+                               tape.param(p + ".w"), tape.param(p + ".b"),
+                               relu=True)
+        if cfg.aggregation_norm is EdgeScaling.POST_NORM:
+            msg = tape.group_norm(msg, tape.param(p + ".gn.g"),
+                                  tape.param(p + ".gn.b"),
+                                  n_groups=cfg.n_groups)
+        return msg
+
+    cell = reference_affine(tape, tape.constant(x.cell_embed),
+                            tape.param("in.cell.w"), tape.param("in.cell.b"),
+                            relu=True)
+    feat_w = tape.param("in.feat.w")
+    if x.feature_embed is not None:
+        feat_in = (tape.param(x.feature_param) if x.feature_param
+                   else tape.constant(x.feature_embed))
+        feat_w = tape.matmul(feat_in, feat_w)
+    feat = tape.relu(tape.add(feat_w, tape.param("in.feat.b")))
+    h0_cell, h0_feat = cell, feat
+    if rate > 0:
+        cell, feat = tape.dropout(cell, rate), tape.dropout(feat, rate)
+    skip = cfg.residual_mode == "skip"
+    states = []
+    for layer in range(1, cfg.n_layers + 1):
+        m_uv = message(operators[1], cell, layer, "uv")
+        m_vu = message(operators[0], feat, layer, "vu")
+        if operators[2] is not None:
+            m_vv = message(operators[2], feat, layer, "vv")
+            if cfg.alpha == "learnable":
+                m_uv = tape.scalar_mix([m_vv, m_uv], tape.param("alpha"),
+                                       tied=True)
+            else:
+                m_uv = tape.scalar_mix([m_vv, m_uv],
+                                       np.array([cfg.alpha, 1 - cfg.alpha]))
+        new_feat = tape.add(feat if skip else h0_feat, m_uv)
+        cell = tape.add(cell if skip else h0_cell, m_vu)
+        feat = new_feat
+        if rate > 0:
+            cell, feat = tape.dropout(cell, rate), tape.dropout(feat, rate)
+        states.append(cell)
+    return readout(tape, states)
+
+
+class RecordingRng:
+    """A generator that keeps every dropout draw it hands out."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def random(self, shape):
+        self.draws.append(self.rng.random(shape))
+        return self.draws[-1]
+
+
+def tape_bytes(tape) -> int:
+    """Bytes of the distinct arrays a tape holds in its node values and its
+    vjp closures; a view counts as its base."""
+    arrays = {}
+
+    def visit(obj):
+        if isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+        elif isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            arrays[id(obj)] = obj.nbytes
+
+    for node in tape.nodes:
+        visit(node.value)
+        for cell in getattr(node.vjp, "__closure__", None) or ():
+            visit(cell.cell_contents)
+    return sum(arrays.values())
+
+
+def pathway_network(pathways=True, features="one_hot", **conv):
+    """A 14 x 9 graph, gene sets optional, with every parameter drawn away
+    from zero and the cells' input random."""
+    rng = np.random.default_rng(40)
+    dense = rng.uniform(0.2, 2.0, (14, 9)) * (rng.random((14, 9)) < 0.5)
+    g = toy_graph(dense)
+    if pathways:
+        g = augment_with_pathways(g, GeneSetCollection(
+            [("a", [0, 1, 2]), ("b", [3, 4, 5, 6])]))
+    cfg = ConvConfig(**{"n_layers": 3, "hidden_dim": 6, "n_groups": 2,
+                        "dropout_rate": 0.3, **conv})
+    store = ParamStore()
+    x = NodeEmbeddings(rng.standard_normal((14, 1)), None)
+    if features != "one_hot":
+        x.feature_embed = rng.standard_normal((9, 4))
+        if features == "table":
+            x.feature_param = "feature_table"
+            store.register("feature_table", x.feature_embed)
+    init_params(g, x, cfg, store, seed=41)
+    store.register("head.w", rng.standard_normal((6, 2)))
+    store.register("head.b", rng.standard_normal((1, 2)))
+    for name in store.names():
+        value = store.value(name)
+        value[:] = rng.uniform(0.2, 0.9, value.shape) * np.where(
+            rng.random(value.shape) < 0.5, -1.0, 1.0)
+        if name.endswith("alpha"):
+            value[:] = np.abs(value)
+    return g, x, cfg, store, rng.standard_normal((14, 2))
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("setup", [
+        {},
+        {"pathways": False},
+        {"alpha": "learnable", "features": "table"},
+        {"residual_mode": "skip", "features": "embed"},
+        {"residual_mode": "skip", "alpha": "learnable", "pathways": False},
+        {"aggregation_norm": SYM, "dropout_rate": 0.0, "n_layers": 1},
+    ])
+    def test_same_output_loss_gradients_and_draws(self, setup):
+        g, x, cfg, store, target = pathway_network(**setup)
+        runs = []
+        for net, head in ((reference_forward, reference_affine),
+                          (forward, Tape.affine)):
+            rng = RecordingRng(42)
+            t = Tape(store, rng=rng)
+            h_hat = net(t, g, x, cfg)
+            loss = t.rmse(head(t, h_hat, t.param("head.w"),
+                               t.param("head.b")), target)
+            t.backward(loss)
+            runs.append((t.value(h_hat), t.value(loss),
+                         {k: store.grad(k).copy() for k in store.names()},
+                         rng.draws))
+            store.zero_grads()
+        (ref_h, ref_loss, ref_grads, ref_draws), (h, loss, grads, draws) = runs
+        assert np.array_equal(h, ref_h) and np.array_equal(loss, ref_loss)
+        for name in store.names():
+            assert np.array_equal(grads[name], ref_grads[name]), name
+        # the reference draws one more mask: the last feature update's
+        drawn = len(ref_draws) - (cfg.dropout_rate > 0)
+        assert len(draws) == drawn
+        assert all(np.array_equal(a, b) for a, b in zip(draws, ref_draws))
+
+    @pytest.mark.parametrize("pathways", [True, False])
+    def test_spmm_count(self, pathways, monkeypatch):
+        g, x, cfg, store, _ = pathway_network(pathways=pathways)
+        calls = []
+        spmm_const = Tape.spmm_const
+
+        def counting(tape, s, h):
+            calls.append(s is g.operators(cfg.aggregation_norm)[2])
+            return spmm_const(tape, s, h)
+
+        monkeypatch.setattr(Tape, "spmm_const", counting)
+        forward(Tape(store), g, x, cfg)
+        n = cfg.n_layers
+        assert calls.count(False) == 2 * n - 1
+        assert calls.count(True) == (n - 1 if pathways else 0)
+
+    def test_training_tape_is_smaller(self, monkeypatch):
+        # RSS cannot be gated in a unit test; the first training tape of a
+        # 4-layer pathway run, counted in bytes, stands in for it
+        rng = np.random.default_rng(43)
+        dense = rng.uniform(0.2, 2.0, (240, 60)) * (rng.random((240, 60))
+                                                    < 0.2)
+        g = toy_graph(dense)
+        sets = GeneSetCollection([(f"s{i}", list(range(6 * i, 6 * i + 6)))
+                                  for i in range(8)])
+        cfg = ConvConfig(n_layers=4, hidden_dim=16)
+        protocol = TrainProtocol(max_epochs=1, seed=0)
+        sizes = []
+        backward = Tape.backward
+
+        def measured(tape, loss):
+            sizes.append(tape_bytes(tape))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", measured)
+        target = rng.standard_normal((240, 5))
+        prediction.train_prediction(g, target, cfg, protocol, gene_sets=sets)
+        monkeypatch.setattr(Tape, "affine", reference_affine)
+        monkeypatch.setattr(prediction, "forward", reference_forward)
+        prediction.train_prediction(g, target, cfg, protocol, gene_sets=sets)
+        new, reference = sizes
+        assert new <= 0.75 * reference, (new, reference)

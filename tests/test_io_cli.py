@@ -252,7 +252,8 @@ class TestConfig:
         path.write_text("# a comment\nseed = 7\nconv.n_layers = 3\n"
                         "train.lr = 0.005  # inline comment\n")
         cfg = load_config_file(path)
-        assert cfg.seed == 7 and cfg.n_layers == 3 and cfg.train.lr == 0.005
+        assert (cfg.train.seed == 7 and cfg.conv.n_layers == 3
+                and cfg.train.lr == 0.005)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -304,7 +305,7 @@ class TestConfig:
         loaded = load_config_file(path)
         assert loaded.conv.alpha == "learnable"
         assert loaded.match.percentile == 90.0
-        assert loaded.n_layers is None and loaded.train.lr is None
+        assert loaded.conv.n_layers is None and loaded.train.lr is None
         expected = RunConfig()
         expected.conv.alpha = "learnable"
         expected.match.percentile = 90.0
@@ -337,6 +338,29 @@ class TestConfig:
         # the run's conv replaces the matcher's own, and nothing else moves
         default = MatcherConfig()
         assert dataclasses.replace(matcher, conv=default.conv) == default
+
+    def test_train_seed_reaches_the_protocol(self):
+        cfg = RunConfig()
+        cfg.train.seed = 5
+        assert cfg.protocol().seed == 5
+        apply_setting(cfg, "seed", "7")
+        assert cfg.train.seed == 7 and cfg.protocol().seed == 7
+
+    def test_conv_n_layers_reaches_the_network(self):
+        cfg = RunConfig()
+        cfg.conv.n_layers = 3
+        assert [cfg.conv_config(task).n_layers
+                for task in ("predict", "match", "embed")] == [3, 3, 3]
+        assert cfg.matcher_config().conv.n_layers == 3
+        assert cfg.embed_config().conv.n_layers == 3
+
+    @pytest.mark.parametrize("name", ["match", "embed"])
+    def test_task_conv_is_rejected_naming_the_conv_keys(self, name):
+        cfg = RunConfig(task=name)
+        getattr(cfg, name).conv = ConvConfig(hidden_dim=16)
+        with pytest.raises(ConfigError, match=rf"^{name}\.conv is set by "
+                           r"the conv\.\* keys"):
+            cfg.validate()
 
     @pytest.mark.parametrize("command", ["predict", "match", "embed"])
     def test_bad_norm_exit_1_naming_the_key(self, tmp_path, command, capsys):

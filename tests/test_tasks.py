@@ -187,14 +187,16 @@ class TestMatchBlocks:
     def test_training_builds_no_n_by_n_scores(self, monkeypatch):
         monkeypatch.setattr(matching, "MATCH_BLOCK", 128)
         shapes = []
-        matmul = Tape.matmul
 
-        def recording_matmul(self, a, b, transpose_b=False):
-            out = matmul(self, a, b, transpose_b)
-            shapes.append(self.value(out).shape)
-            return out
+        def recording(op):
+            def record(self, *args, **kwargs):
+                out = op(self, *args, **kwargs)
+                shapes.append(self.value(out).shape)
+                return out
+            return record
 
-        monkeypatch.setattr(Tape, "matmul", recording_matmul)
+        for name in ("matmul", "affine"):
+            monkeypatch.setattr(Tape, name, recording(getattr(Tape, name)))
         ds = generate_synthetic(n_cells=600, seed=3)
         cfg = MatcherConfig(reduce_rank=12)
         cfg.conv.hidden_dim = 16
