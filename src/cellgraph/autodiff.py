@@ -116,7 +116,9 @@ class Tape:
     """Append-only record of one forward pass.
 
     Confined to a single thread. `train` gates dropout and `rng` feeds it.
-    One backward() per tape.
+    A training tape runs one backward(); an eval tape (train=False) records
+    values only: its parameter leaves need no gradient, so no node keeps a
+    backward closure.
     """
 
     def __init__(self, store: ParamStore | None = None, train: bool = True,
@@ -139,7 +141,8 @@ class Tape:
         if self.store is None or name not in self.store:
             raise KeyError(f"parameter {name!r} not registered")
         return self._append(
-            Node(self.store.value(name), param_name=name, needs_grad=True)
+            Node(self.store.value(name), param_name=name,
+                 needs_grad=self.train)
         )
 
     def _append(self, node: Node) -> int:
@@ -191,10 +194,10 @@ class Tape:
 
         return self._derived(out, (x, w, b), vjp)
 
-    def spmm_const(self, s: SparseMatrix, x: int) -> int:
-        xv = self.value(x)
-        out = spmm(s, xv)  # raises on shape mismatch
-        st = s.transpose()
+    def spmm_const(self, s: SparseMatrix, x: int, st: SparseMatrix) -> int:
+        """s @ x for a constant operator s; st is its transpose, which the
+        backward pass multiplies by."""
+        out = spmm(s, self.value(x))  # raises on shape mismatch
 
         def vjp(g):
             return (spmm(st, g),)
@@ -269,9 +272,9 @@ class Tape:
     def dropout(self, x: int, rate: float) -> int:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-        xv = self.value(x)
         if rate == 0.0 or not self.train:
-            return self._derived(xv.copy(), (x,), lambda g: (g,))
+            return x
+        xv = self.value(x)
         keep = self.rng.random(xv.shape) >= rate
         scale = 1.0 / (1.0 - rate)
 
@@ -429,6 +432,8 @@ class Tape:
 
     def backward(self, loss: int):
         """Accumulate d(loss)/d(param) into the store for every param leaf."""
+        if not self.train:
+            raise RuntimeError("an eval tape records no backward pass")
         if self._spent:
             raise TapeReuseError("tape already ran backward; record a new pass")
         self._spent = True

@@ -102,14 +102,6 @@ class RunConfig:
         return replace(self.embed, conv=self.conv_config("embed"))
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 def _parse_alpha(text: str):
     return text if text == "learnable" else float(text)
 
@@ -145,7 +137,6 @@ CONFIG_KEYS: dict[str, tuple[str, object]] = {
     "train.lr_decay_every": ("train.lr_decay_every", int),
     "match.percentile": ("match.percentile", float),
     "match.aux_weight": ("match.aux_weight", float),
-    "match.use_aux": ("match.use_aux", _parse_bool),
     "match.reduce_rank": ("match.reduce_rank", int),
     "embed.beta": ("embed.beta", float),
     "embed.lsi_rank": ("embed.lsi_rank", int),

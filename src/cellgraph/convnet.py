@@ -108,11 +108,12 @@ def input_transform(tape: Tape, x: NodeEmbeddings):
                              tape.param("in.feat.b"), relu=True)
 
 
-def _message(tape: Tape, operator, h_source: int, layer: int, channel: str,
-             cfg: ConvConfig) -> int:
-    """sigma(b + aggregated neighbors @ W), group-normalized in POST_NORM."""
+def _message(tape: Tape, operator, transpose, h_source: int, layer: int,
+             channel: str, cfg: ConvConfig) -> int:
+    """sigma(b + aggregated neighbors @ W), group-normalized in POST_NORM;
+    transpose is the operator's, which the backward pass multiplies by."""
     p = f"l{layer}.{channel}"
-    agg = tape.spmm_const(operator, h_source)
+    agg = tape.spmm_const(operator, h_source, transpose)
     msg = tape.affine(agg, tape.param(p + ".w"), tape.param(p + ".b"),
                       relu=True)
     if cfg.aggregation_norm is EdgeScaling.POST_NORM:
@@ -128,7 +129,8 @@ def conv_layer(tape: Tape, operators, h_cell: int, h_feat: int, layer: int,
 
     operators is the (cells_from_features, features_from_cells,
     features_from_features) triple from CellFeatureGraph.operators(mode);
-    the pathway channel runs when the third exists. The last layer records
+    the first two are each other's transposes and the third is symmetric.
+    The pathway channel runs when the third exists. The last layer records
     the cell side only, since nothing reads its feature update, and
     returns None in its place.
     """
@@ -137,25 +139,25 @@ def conv_layer(tape: Tape, operators, h_cell: int, h_feat: int, layer: int,
     # uv before the cell update and vv after vu, so that every state's
     # gradient sums its parts in the same order whether or not last
     m_uv = (None if last else
-            _message(tape, features_from_cells, h_cell, layer, "uv", cfg))
-    m_vu = _message(tape, cells_from_features, h_feat, layer, "vu", cfg)
-    new_cell = tape.add(h_cell if skip else h0_cell, m_vu)
-    if cfg.dropout_rate > 0:
-        new_cell = tape.dropout(new_cell, cfg.dropout_rate)
+            _message(tape, features_from_cells, cells_from_features, h_cell,
+                     layer, "uv", cfg))
+    m_vu = _message(tape, cells_from_features, features_from_cells, h_feat,
+                    layer, "vu", cfg)
+    new_cell = tape.dropout(tape.add(h_cell if skip else h0_cell, m_vu),
+                            cfg.dropout_rate)
     if last:
         return new_cell, None
     if features_from_features is not None:
-        m_vv = _message(tape, features_from_features, h_feat, layer, "vv",
-                        cfg)
+        m_vv = _message(tape, features_from_features, features_from_features,
+                        h_feat, layer, "vv", cfg)
         if cfg.alpha == "learnable":
             m_uv = tape.scalar_mix([m_vv, m_uv], tape.param("alpha"),
                                    tied=True)
         else:
             a = float(cfg.alpha)
             m_uv = tape.scalar_mix([m_vv, m_uv], np.array([a, 1.0 - a]))
-    new_feat = tape.add(h_feat if skip else h0_feat, m_uv)
-    if cfg.dropout_rate > 0:
-        new_feat = tape.dropout(new_feat, cfg.dropout_rate)
+    new_feat = tape.dropout(tape.add(h_feat if skip else h0_feat, m_uv),
+                            cfg.dropout_rate)
     return new_cell, new_feat
 
 
@@ -202,10 +204,10 @@ def decoupled_forward(tape: Tape, states: list[np.ndarray], cfg: ConvConfig,
     p = prefix
     transformed = []
     for s in states:
-        hidden = tape.affine(tape.constant(s), tape.param(p + "dec.w1"),
-                             tape.param(p + "dec.b1"), relu=True)
-        if cfg.dropout_rate > 0:
-            hidden = tape.dropout(hidden, cfg.dropout_rate)
+        hidden = tape.dropout(
+            tape.affine(tape.constant(s), tape.param(p + "dec.w1"),
+                        tape.param(p + "dec.b1"), relu=True),
+            cfg.dropout_rate)
         transformed.append(tape.affine(hidden, tape.param(p + "dec.w2"),
                                        tape.param(p + "dec.b2")))
     return tape.scalar_mix(transformed, tape.param(p + "readout.w"))
@@ -218,9 +220,8 @@ def forward(tape: Tape, g: CellFeatureGraph, x: NodeEmbeddings,
     operators = g.operators(cfg.aggregation_norm)
     h_cell, h_feat = input_transform(tape, x)
     h0_cell, h0_feat = h_cell, h_feat
-    if cfg.dropout_rate > 0:
-        h_cell = tape.dropout(h_cell, cfg.dropout_rate)
-        h_feat = tape.dropout(h_feat, cfg.dropout_rate)
+    h_cell = tape.dropout(h_cell, cfg.dropout_rate)
+    h_feat = tape.dropout(h_feat, cfg.dropout_rate)
     cell_states = []
     for layer in range(1, cfg.n_layers + 1):
         h_cell, h_feat = conv_layer(tape, operators, h_cell, h_feat, layer,

@@ -49,8 +49,10 @@ def _op_checks(seed: int) -> dict[str, float]:
           lambda t: t.mse(t.matmul(t.param("a"), t.param("b"),
                                    transpose_b=True), target),
           {"a": rng.standard_normal((n, d)), "b": rng.standard_normal((d, d))})
+    sparse_t = sparse.transpose()
     check("spmm_const",
-          lambda t: t.mse(t.spmm_const(sparse, t.param("x")), target),
+          lambda t: t.mse(t.spmm_const(sparse, t.param("x"), sparse_t),
+                          target),
           {"x": rng.standard_normal((n, d))})
     check("add",
           lambda t: t.mse(t.add(t.param("a"), t.param("b")), target),

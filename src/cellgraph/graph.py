@@ -95,9 +95,10 @@ class CellFeatureGraph:
         """Sparse operators for message passing under the scaling mode.
 
         Returns (cells_from_features, features_from_cells, features_from_features)
-        where the first is N x k, the second k x N, the third k x k (None
-        without pathway edges). The feature-feature operator is symmetric.
-        Cached per scaling mode; training reuses them every step.
+        where the first is N x k, the second k x N (the first's transpose),
+        the third k x k (None without pathway edges). The feature-feature
+        operator is symmetric. Cached per scaling mode; training reuses them
+        every step, each as the other's transpose in the backward pass.
         """
         if mode in self._operator_cache:
             return self._operator_cache[mode]

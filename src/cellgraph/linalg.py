@@ -45,12 +45,6 @@ class SparseMatrix:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    _transpose_cache: "SparseMatrix | None" = field(
-        default=None, repr=False, compare=False
-    )
-    _row_indices_cache: "np.ndarray | None" = field(
-        default=None, repr=False, compare=False
-    )
     _dense_cache: "np.ndarray | None" = field(
         default=None, repr=False, compare=False
     )
@@ -125,11 +119,8 @@ class SparseMatrix:
 
     def row_indices(self) -> np.ndarray:
         """Row index of every stored entry (COO expansion of the offsets)."""
-        if self._row_indices_cache is None:
-            object.__setattr__(self, "_row_indices_cache", np.repeat(
-                np.arange(self.n_rows, dtype=np.int64),
-                np.diff(self.row_offsets)))
-        return self._row_indices_cache
+        return np.repeat(np.arange(self.n_rows, dtype=np.int64),
+                         np.diff(self.row_offsets))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
@@ -148,18 +139,10 @@ class SparseMatrix:
         return self._dense_cache
 
     def transpose(self) -> "SparseMatrix":
-        """CSR transpose; cached, since training reuses it every step."""
-        if self._transpose_cache is None:
-            t = SparseMatrix.from_coo(
-                self.n_cols,
-                self.n_rows,
-                self.col_indices,
-                self.row_indices(),
-                self.values,
-                sum_duplicates=False,
-            )
-            object.__setattr__(self, "_transpose_cache", t)
-        return self._transpose_cache
+        """CSR transpose, built anew on every call."""
+        return SparseMatrix.from_coo(self.n_cols, self.n_rows,
+                                     self.col_indices, self.row_indices(),
+                                     self.values, sum_duplicates=False)
 
     def with_values(self, new_values) -> "SparseMatrix":
         """Same sparsity pattern, different values."""
@@ -169,21 +152,6 @@ class SparseMatrix:
         return SparseMatrix(
             self.n_rows, self.n_cols, self.row_offsets, self.col_indices, new_values
         )
-
-    def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.n_rows)
-        np.add.at(out, self.row_indices(), self.values)
-        return out
-
-    def column(self, j) -> np.ndarray:
-        """Column j as a dense vector."""
-        if not 0 <= j < self.n_cols:
-            raise IndexError(f"column {j} out of range for {self.shape}")
-        t = self.transpose()
-        lo, hi = t.row_offsets[j], t.row_offsets[j + 1]
-        out = np.zeros(self.n_rows)
-        out[t.col_indices[lo:hi]] = t.values[lo:hi]
-        return out
 
 
 # stored entries per chunk of whole rows in the CSR branch of spmm: the
@@ -289,8 +257,16 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 
 def cosine_similarity_columns(m: SparseMatrix, pairs) -> np.ndarray:
     """Cosine of columns i and j of m for each pair (i, j); 0 where either
-    column is all zero. Each distinct column is densified once."""
-    columns = {k: m.column(k) for k in {k for pair in pairs for k in pair}}
+    column is all zero. Each distinct column is densified once, from one
+    transpose of m."""
+    t = m.transpose()
+    columns = {}
+    for k in {k for pair in pairs for k in pair}:
+        if not 0 <= k < m.n_cols:
+            raise IndexError(f"column {k} out of range for {m.shape}")
+        lo, hi = t.row_offsets[k], t.row_offsets[k + 1]
+        columns[k] = np.zeros(m.n_rows)
+        columns[k][t.col_indices[lo:hi]] = t.values[lo:hi]
     norms = {k: np.linalg.norm(c) for k, c in columns.items()}
     out = np.zeros(len(pairs))
     for p, (i, j) in enumerate(pairs):
@@ -306,8 +282,9 @@ def tfidf(m: SparseMatrix) -> SparseMatrix:
     """
     if m.nnz and m.values.min() < 0:
         raise ValueError("tfidf requires non-negative entries")
-    row_totals = m.row_sums()
     rows = m.row_indices()
+    row_totals = np.zeros(m.n_rows)
+    np.add.at(row_totals, rows, m.values)
     denom = np.where(row_totals > 0, row_totals, 1.0)
     tf = m.values / denom[rows]
     df = np.zeros(m.n_cols)

@@ -101,7 +101,10 @@ def run_training(store: ParamStore, train_epoch, validate,
         if val < best_val - 1e-12:
             best_val = val
             best_epoch = epoch
-            best_snap = store.snapshot()
+            # into the arrays taken before the loop: fresh copies would land
+            # among the spent tapes' freed memory and, kept, pin it in the heap
+            for name, saved in best_snap.items():
+                saved[:] = store.value(name)
         elif epoch - best_epoch >= protocol.patience_epochs:
             break
     store.restore(best_snap)

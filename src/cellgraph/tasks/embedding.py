@@ -89,7 +89,7 @@ class EmbedModel:
     def embed(self) -> JointEmbedding:
         tape = Tape(self.store, train=False)
         h = tape.value(decoupled_forward(tape, self.states, self.cfg.conv))
-        return JointEmbedding(h.copy(), self.n_types, self.cfg.beta)
+        return JointEmbedding(h, self.n_types, self.cfg.beta)
 
 
 def train_joint_embedding(m1: SparseMatrix, m2: SparseMatrix, cell_types,

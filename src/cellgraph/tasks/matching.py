@@ -234,9 +234,16 @@ class MatcherConfig:
         n_layers=3, hidden_dim=64, aggregation_norm=EdgeScaling.POST_NORM,
         dropout_rate=0.5))
     reduce_rank: int = 32
-    aux_weight: float = 1.0
-    use_aux: bool = True
+    aux_weight: float = 1.0  # 0 trains no aux networks at all
     percentile: float = 95.0
+
+
+def _embed_pair(store: ParamStore, conv: ConvConfig, states1, states2):
+    """Eval-mode outputs of both towers over the given propagated states."""
+    tape = Tape(store, train=False)
+    h1 = decoupled_forward(tape, states1, conv, prefix="m1.")
+    h2 = decoupled_forward(tape, states2, conv, prefix="m2.")
+    return tape.value(h1), tape.value(h2)
 
 
 @dataclass
@@ -251,12 +258,8 @@ class MatcherModel:
 
     def embeddings(self):
         """Eval-mode cell representations for both modalities."""
-        tape = Tape(self.store, train=False)
-        h1 = tape.value(decoupled_forward(tape, self.states1, self.cfg.conv,
-                                          prefix="m1."))
-        h2 = tape.value(decoupled_forward(tape, self.states2, self.cfg.conv,
-                                          prefix="m2."))
-        return h1.copy(), h2.copy()
+        return _embed_pair(self.store, self.cfg.conv, self.states1,
+                           self.states2)
 
     def infer(self, batch_labels_1, batch_labels_2) -> MatchOutput:
         h1, h2 = self.embeddings()
@@ -298,12 +301,12 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
     init_decoupled_params(x2.shape[1], cfg.conv, store, protocol.seed + 1,
                           prefix="m2.")
     register_logit_scale(store)
-    if cfg.use_aux:
+    train_idx, val_idx = split_cells(n, protocol.split_fraction, protocol.seed)
+    aux_train = None
+    if cfg.aux_weight != 0:
         register_aux_params(store, cfg.conv.hidden_dim, x1.shape[1],
                             x2.shape[1], protocol.seed + 2)
-
-    train_idx, val_idx = split_cells(n, protocol.split_fraction, protocol.seed)
-    aux_train = (x1[train_idx], x2[t_all[train_idx]]) if cfg.use_aux else None
+        aux_train = (x1[train_idx], x2[t_all[train_idx]])
     # the MLP is row-wise, so each split's rows are gathered before it, with
     # modality 2 in pair order; the rows the losses never read stay out
     train1 = [s[train_idx] for s in states1]
@@ -323,9 +326,7 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
         # early stopping watches the negated validation competition score:
         # the held-out cross-entropy plateaus long before the probability
         # mass on true pairs (the task metric) stops improving
-        tape = Tape(store, train=False)
-        h1 = tape.value(decoupled_forward(tape, val1, cfg.conv, prefix="m1."))
-        h2 = tape.value(decoupled_forward(tape, val2, cfg.conv, prefix="m2."))
+        h1, h2 = _embed_pair(store, cfg.conv, val1, val2)
         block = l2_normalize_rows(h1) @ l2_normalize_rows(h2).T
         rp, cp = score_probabilities(block, logit_scale(store))
         mass = 0.5 * (np.trace(rp) + np.trace(cp))

@@ -25,18 +25,13 @@ def rmse_loss(pred, target) -> float:
     return float(np.sqrt(((p - t) ** 2).mean()))
 
 
-def _edges_restricted_to(g: CellFeatureGraph, cells) -> CellFeatureGraph:
-    """Same node sets, but only edges incident to the given cells: the
-    matrix with every other row emptied."""
-    m = g.matrix
-    keep_row = np.zeros(m.n_rows, dtype=bool)
-    keep_row[cells] = True
-    lengths = np.where(keep_row, np.diff(m.row_offsets), 0)
-    keep = keep_row[m.row_indices()]
-    restricted = SparseMatrix(m.n_rows, m.n_cols,
-                              np.concatenate(([0], np.cumsum(lengths))),
-                              m.col_indices[keep], m.values[keep])
-    return CellFeatureGraph(restricted, g.ff_i, g.ff_j, g.ff_weights)
+def _predict(store: ParamStore, g: CellFeatureGraph, x: NodeEmbeddings,
+             cfg: ConvConfig) -> np.ndarray:
+    """Eval-mode forward pass through the head, for every cell."""
+    tape = Tape(store, train=False)
+    h_hat = forward(tape, g, x, cfg)
+    return tape.value(tape.affine(h_hat, tape.param("head.w"),
+                                  tape.param("head.b")))
 
 
 @dataclass
@@ -53,22 +48,18 @@ class PredictionModel:
 
     def predict(self) -> np.ndarray:
         """Eval-mode forward pass through the trained head."""
-        tape = Tape(self.store, train=False)
-        h_hat = forward(tape, self.graph, self.embeddings, self.cfg)
-        out = tape.affine(h_hat, tape.param("head.w"), tape.param("head.b"))
-        return tape.value(out).copy()
+        return _predict(self.store, self.graph, self.embeddings, self.cfg)
 
 
 def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
-                     protocol: TrainProtocol, transductive: bool = True,
+                     protocol: TrainProtocol,
                      gene_sets: GeneSetCollection | None = None
                      ) -> PredictionModel:
     """Train the prediction head; returns the best-validation model.
 
     Cells are split per the protocol; the loss is full-batch RMSE on the
-    training rows. Transductive mode (default) keeps every cell's source
-    features in the graph; otherwise validation cells' edges are removed
-    during training and only rejoin for inference.
+    training rows. Training is transductive: every cell's source features
+    stay in the graph, and training and validation run on the same graph.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape[0] != g.n_cells:
@@ -86,19 +77,15 @@ def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
 
     train_idx, val_idx = split_cells(g.n_cells, protocol.split_fraction,
                                      protocol.seed)
-    g_train = g if transductive else _edges_restricted_to(g, train_idx)
     target_train = target[train_idx]
 
     def train_epoch(tape: Tape):
-        h_hat = forward(tape, g_train, x, cfg)
+        h_hat = forward(tape, g, x, cfg)
         pred = tape.affine(h_hat, tape.param("head.w"), tape.param("head.b"))
         return tape.rmse(tape.take(pred, train_idx), target_train)
 
     def validate() -> float:
-        tape = Tape(store, train=False)
-        h_hat = forward(tape, g, x, cfg)
-        pred = tape.value(tape.affine(h_hat, tape.param("head.w"),
-                                      tape.param("head.b")))
+        pred = _predict(store, g, x, cfg)
         return rmse_loss(pred[val_idx], target[val_idx])
 
     best_val, best_epoch, history = run_training(

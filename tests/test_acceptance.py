@@ -55,7 +55,7 @@ def matching_runs():
             if variant == "no_propagation":
                 cfg.conv.n_layers = 0
             if variant == "no_aux":
-                cfg.use_aux = False
+                cfg.aux_weight = 0.0
             start = time.perf_counter()
             model = train_matcher(ds.modality_1, ds.modality_2,
                                   ds.correspondence, _match_protocol(seed),
@@ -167,7 +167,6 @@ def test_criterion_07_prediction_skill():
                                  seed=seed, weight_decay=1e-4,
                                  lr_decay_rate=0.7, lr_decay_every=150)
         g = build_bipartite(ds.modality_1)
-        g.normalization_mode = EdgeScaling.POST_NORM
         cfg = ConvConfig(n_layers=4, hidden_dim=48,
                          aggregation_norm=EdgeScaling.POST_NORM,
                          dropout_rate=0.2, residual_mode="initial")
@@ -239,7 +238,6 @@ def test_criterion_10_early_stopping():
     source = np.abs(rng.standard_normal((80, 10))) + 0.05
     target = rng.standard_normal((80, 3))
     g = build_bipartite(SparseMatrix.from_dense(source))
-    g.normalization_mode = EdgeScaling.POST_NORM
     cfg = ConvConfig(n_layers=1, hidden_dim=8, dropout_rate=0.0,
                      aggregation_norm=EdgeScaling.POST_NORM)
     protocol = TrainProtocol(patience_epochs=5, max_epochs=400, seed=0,

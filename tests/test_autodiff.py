@@ -48,6 +48,18 @@ class TestForwardOps:
         x = np.arange(6.0).reshape(2, 3)
         assert np.array_equal(t.value(t.dropout(t.constant(x), 0.7)), x)
 
+    @pytest.mark.parametrize("train, rate", [(False, 0.3), (True, 0.0)])
+    def test_dropout_without_draws_returns_its_input(self, train, rate):
+        t = Tape(train=train)
+        x = t.constant(np.ones((2, 3)))
+        assert t.dropout(x, rate) == x
+        assert len(t.nodes) == 1
+
+    def test_dropout_rate_checked_on_eval_tape(self):
+        t = Tape(train=False)
+        with pytest.raises(ValueError, match="dropout rate"):
+            t.dropout(t.constant(np.ones((2, 3))), 1.0)
+
     def test_dropout_inverted_scaling_expectation(self):
         rate = 0.3
         rng = np.random.default_rng(0)

@@ -409,7 +409,8 @@ def reference_forward(tape, g, x, cfg):
 
     def message(operator, h, layer, channel):
         p = f"l{layer}.{channel}"
-        msg = reference_affine(tape, tape.spmm_const(operator, h),
+        agg = tape.spmm_const(operator, h, operator.transpose())
+        msg = reference_affine(tape, agg,
                                tape.param(p + ".w"), tape.param(p + ".b"),
                                relu=True)
         if cfg.aggregation_norm is EdgeScaling.POST_NORM:
@@ -554,9 +555,9 @@ class TestAgainstReference:
         calls = []
         spmm_const = Tape.spmm_const
 
-        def counting(tape, s, h):
+        def counting(tape, s, h, st):
             calls.append(s is g.operators(cfg.aggregation_norm)[2])
-            return spmm_const(tape, s, h)
+            return spmm_const(tape, s, h, st)
 
         monkeypatch.setattr(Tape, "spmm_const", counting)
         forward(Tape(store), g, x, cfg)
@@ -590,3 +591,34 @@ class TestAgainstReference:
         prediction.train_prediction(g, target, cfg, protocol, gene_sets=sets)
         new, reference = sizes
         assert new <= 0.75 * reference, (new, reference)
+
+
+class TestTapeContracts:
+    @staticmethod
+    def predict(tape, g, x, cfg):
+        h_hat = forward(tape, g, x, cfg)
+        return tape.affine(h_hat, tape.param("head.w"), tape.param("head.b"))
+
+    def test_eval_tape_records_values_only(self):
+        g, x, cfg, store, _ = pathway_network()
+        tape = Tape(store, train=False)
+        out = self.predict(tape, g, x, cfg)
+        assert all(node.vjp is None for node in tape.nodes)
+        with pytest.raises(RuntimeError, match="eval tape"):
+            tape.backward(tape.rmse(out, np.zeros((14, 2))))
+
+    def test_training_epoch_builds_no_transpose(self, monkeypatch):
+        g, x, cfg, store, target = pathway_network()
+        g.operators(cfg.aggregation_norm)
+        calls = []
+        transpose = SparseMatrix.transpose
+
+        def counting(self):
+            calls.append(self.shape)
+            return transpose(self)
+
+        monkeypatch.setattr(SparseMatrix, "transpose", counting)
+        tape = Tape(store, rng=np.random.default_rng(0))
+        tape.backward(tape.rmse(self.predict(tape, g, x, cfg), target))
+        assert calls == []
+        assert any(store.grad(name).any() for name in store.names())

@@ -631,3 +631,44 @@ class TestBenchmarkPhases:
             for attr in attrs.split("."):
                 obj = getattr(obj, attr)
             assert callable(obj), f"{module}.{attrs}"
+
+
+class TestTracerTargets:
+    # the benchmark's tracer wraps these names; one that no longer resolves
+    # is reported absent, and the trace then fails its absent-names check.
+    # selector_matrix went with row selection by sparse matmul, and the
+    # tracer still lists it
+    KNOWN_ABSENT = {"cellgraph.tasks.common.selector_matrix"}
+
+    @staticmethod
+    def resolves(module: str, path: str) -> bool:
+        """The tracer's own lookup: a method must be on the class itself."""
+        owner = importlib.import_module(module)
+        *parents, name = path.split(".")
+        for part in parents:
+            owner = getattr(owner, part, None)
+        if isinstance(owner, type):
+            return name in vars(owner)
+        return getattr(owner, name, None) is not None
+
+    def test_every_traced_name_resolves(self):
+        path = pathlib.Path(__file__).parents[1] / "perfbench" / "tracer.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        install = next(node for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == "install")
+        targets = [
+            (node.elts[0].value, node.elts[1].value)
+            for node in ast.walk(install)
+            if isinstance(node, ast.Tuple) and len(node.elts) == 3
+            and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    for e in node.elts[:2])
+            and node.elts[0].value.startswith("cellgraph.")]
+        tape_ops = next(ast.literal_eval(node.value) for node in tree.body
+                        if isinstance(node, ast.Assign)
+                        and [t.id for t in node.targets] == ["TAPE_OPS"])
+        assert len(targets) > 30 and "spmm_const" in tape_ops
+        targets += [("cellgraph.autodiff", f"Tape.{op}") for op in tape_ops]
+        missing = {f"{module}.{name}" for module, name in targets
+                   if not self.resolves(module, name)}
+        assert missing <= self.KNOWN_ABSENT

@@ -50,14 +50,6 @@ class TestSparseMatrix:
         assert m.nnz == 1
         assert m.to_dense()[0, 1] == 3.5
 
-    def test_column_access(self):
-        rng = np.random.default_rng(1)
-        sp, dense = random_sparse(rng, 8, 4)
-        for j in range(4):
-            assert np.array_equal(sp.column(j), dense[:, j])
-        with pytest.raises(IndexError):
-            sp.column(4)
-
 
 class TestSpmm:
     def test_identity(self):
@@ -282,6 +274,9 @@ class TestCosineSimilarityColumns:
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
             cosine_similarity_columns(SparseMatrix.from_dense(np.eye(2)), [(0, 5)])
+        with pytest.raises(IndexError, match="column -1 out of range"):
+            cosine_similarity_columns(SparseMatrix.from_dense(np.eye(2)),
+                                      [(-1, 0)])
 
 
 class TestTfidf:

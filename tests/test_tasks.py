@@ -18,7 +18,6 @@ from cellgraph.tasks import (EmbedConfig, MatcherConfig, MatchOutput,
                              train_prediction)
 from cellgraph.tasks import matching
 from cellgraph.tasks.embedding import EMBED_LR
-from cellgraph.tasks.prediction import _edges_restricted_to
 from cellgraph.metrics import nmi_cluster_label
 
 
@@ -207,6 +206,19 @@ class TestMatchBlocks:
         assert n_train > 128
         assert (n_train, 16) in shapes  # the MLP ran on the training rows
         assert max(min(shape) for shape in shapes) == 128  # full blocks
+
+    def test_zero_aux_weight_trains_no_aux_networks(self):
+        ds = generate_synthetic(n_cells=60, seed=3)
+        cfg = MatcherConfig(reduce_rank=6, aux_weight=0.0)
+        cfg.conv.hidden_dim = 8
+        protocol = TrainProtocol(patience_epochs=2, max_epochs=2, seed=0)
+        model = train_matcher(ds.modality_1, ds.modality_2,
+                              ds.correspondence, protocol, cfg)
+        assert not [n for n in model.store.names() if n.startswith("aux")]
+        cfg.aux_weight = 1.0
+        model = train_matcher(ds.modality_1, ds.modality_2,
+                              ds.correspondence, protocol, cfg)
+        assert "aux1.w1" in model.store
 
 
 class TestScoreProbabilities:
@@ -416,25 +428,6 @@ class TestTrainPrediction:
         assert model.graph.has_pathways
         assert "alpha" in model.store
         assert np.isfinite(model.validation_rmse)
-
-    def test_strict_inductive_mode(self):
-        m, target = self._linear_dataset(n=80)
-        g = build_bipartite(m)
-        cfg = ConvConfig(n_layers=1, hidden_dim=8, dropout_rate=0.0,
-                         aggregation_norm=EdgeScaling.POST_NORM)
-        protocol = TrainProtocol(patience_epochs=15, max_epochs=80, seed=0)
-        model = train_prediction(g, target, cfg, protocol,
-                                 transductive=False)
-        assert np.isfinite(model.validation_rmse)
-
-    def test_inductive_graph_keeps_only_training_rows(self):
-        m, _ = self._linear_dataset(n=30)
-        dense = m.to_dense()
-        cells = np.array([29, 0, 3, 17])
-        g = _edges_restricted_to(build_bipartite(m), cells)
-        expected = np.zeros_like(dense)
-        expected[cells] = dense[cells]
-        assert np.array_equal(g.matrix.to_dense(), expected)
 
 
 class TestJointEmbeddingLoss:
