@@ -1,8 +1,10 @@
 """Reverse-mode differentiation over a fixed op set, plus Adam and helpers.
 
-A Tape records forward values in topological order; backward walks the
-record once and deposits gradients into a ParamStore. The op set is exactly
-what the three task heads need; there is no general graph optimizer.
+A Tape records a forward pass in topological order; backward walks the
+record once and deposits gradients into a ParamStore. Each op returns a Var
+that holds its value; the tape keeps only what the backward pass reads. The
+op set is exactly what the three task heads need; there is no general graph
+optimizer.
 
 64-bit floats throughout: finite-difference verification is part of the
 contract and float32 would not survive it.
@@ -99,9 +101,28 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int):
 GROUP_NORM_EPS = 1e-5  # added to each group's variance
 
 
+class Var:
+    """The handle an op returns: its node's index on the tape (so that
+    `tape.nodes[h]` is its node) and its value.
+
+    The value lives here, not on the tape, so it is freed once the caller
+    drops the handle, unless a backward closure keeps it."""
+
+    __slots__ = ("index", "value")
+
+    def __init__(self, index: int, value: np.ndarray):
+        self.index = index
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.index
+
+
 @dataclass
 class Node:
-    value: np.ndarray
+    """One recorded op: parent indices and the backward closure, which
+    holds only the arrays it reads. The op's value is in its Var."""
+
     parents: tuple[int, ...] = ()
     vjp: object = None  # callable(grad) -> tuple of parent grads
     param_name: str | None = None
@@ -118,7 +139,8 @@ class Tape:
     Confined to a single thread. `train` gates dropout and `rng` feeds it.
     A training tape runs one backward(); an eval tape (train=False) records
     values only: its parameter leaves need no gradient, so no node keeps a
-    backward closure.
+    backward closure. Values live in the Vars the ops return; `nodes` holds
+    the graph and what each backward reads.
     """
 
     def __init__(self, store: ParamStore | None = None, train: bool = True,
@@ -131,37 +153,35 @@ class Tape:
 
     # -- leaves ------------------------------------------------------------
 
-    def constant(self, value) -> int:
+    def constant(self, value) -> Var:
         v = np.asarray(value, dtype=np.float64)
         if v.ndim == 1:
             v = v.reshape(1, -1)
-        return self._append(Node(v))
+        return self._append(Node(), v)
 
-    def param(self, name: str) -> int:
+    def param(self, name: str) -> Var:
         if self.store is None or name not in self.store:
             raise KeyError(f"parameter {name!r} not registered")
-        return self._append(
-            Node(self.store.value(name), param_name=name,
-                 needs_grad=self.train)
-        )
+        return self._append(Node(param_name=name, needs_grad=self.train),
+                            self.store.value(name))
 
-    def _append(self, node: Node) -> int:
+    def _append(self, node: Node, value) -> Var:
         self.nodes.append(node)
-        return len(self.nodes) - 1
+        return Var(len(self.nodes) - 1, value)
 
-    def value(self, handle: int) -> np.ndarray:
-        return self.nodes[handle].value
+    def value(self, handle: Var) -> np.ndarray:
+        return handle.value
 
-    def _derived(self, value, parents, vjp) -> int:
-        needs = any(self.nodes[p].needs_grad for p in parents)
+    def _derived(self, value, parents, vjp) -> Var:
+        needs = any(self.nodes[p.index].needs_grad for p in parents)
         return self._append(
-            Node(np.asarray(value), tuple(parents), vjp if needs else None,
-                 needs_grad=needs)
-        )
+            Node(tuple(p.index for p in parents), vjp if needs else None,
+                 needs_grad=needs),
+            np.asarray(value))
 
     # -- ops -----------------------------------------------------------------
 
-    def matmul(self, a: int, b: int, transpose_b: bool = False) -> int:
+    def matmul(self, a: Var, b: Var, transpose_b: bool = False) -> Var:
         av, bv = self.value(a), self.value(b)
         bT = bv.T if transpose_b else bv
         if av.shape[1] != bT.shape[0]:
@@ -175,26 +195,30 @@ class Tape:
 
         return self._derived(out, (a, b), vjp)
 
-    def affine(self, x: int, w: int, b: int, relu: bool = False) -> int:
+    def affine(self, x: Var, w: Var, b: Var, relu: bool = False) -> Var:
         """x @ w + b for a (1, d) bias b, zeroed where not > 0 if relu: the
-        matmul -> add (-> relu) chain as one node that keeps its output."""
+        matmul -> add (-> relu) chain as one node."""
         xv, wv, bv = self.value(x), self.value(w), self.value(b)
         if xv.shape[1] != wv.shape[0] or bv.shape != (1, wv.shape[1]):
             raise _shape_error("affine", xv.shape, wv.shape, bv.shape)
         out = xv @ wv
         out += bv
+        # the backward reads this mask, not the float output; the zeroing
+        # leaves every entry of out > 0 as it was
+        mask = None
         if relu:
-            out[~(out > 0)] = 0.0
-        x_grad = self.nodes[x].needs_grad
+            mask = out > 0
+            out[~mask] = 0.0
+        x_grad = self.nodes[x.index].needs_grad
 
         def vjp(g):
-            g = g * (out > 0) if relu else g
+            g = g * mask if relu else g
             return (g @ wv.T if x_grad else None, xv.T @ g,
                     g.sum(axis=0, keepdims=True))
 
         return self._derived(out, (x, w, b), vjp)
 
-    def spmm_const(self, s: SparseMatrix, x: int, st: SparseMatrix) -> int:
+    def spmm_const(self, s: SparseMatrix, x: Var, st: SparseMatrix) -> Var:
         """s @ x for a constant operator s; st is its transpose, which the
         backward pass multiplies by."""
         out = spmm(s, self.value(x))  # raises on shape mismatch
@@ -204,22 +228,23 @@ class Tape:
 
         return self._derived(out, (x,), vjp)
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a: Var, b: Var) -> Var:
         av, bv = self.value(a), self.value(b)
         if av.shape != bv.shape:
             # only row-vector bias broadcast is supported
             if not (bv.shape == (1, av.shape[1]) or av.shape == (1, bv.shape[1])):
                 raise _shape_error("add", av.shape, bv.shape)
         out = av + bv
+        a_full, b_full = av.shape == out.shape, bv.shape == out.shape
 
         def vjp(g):
-            ga = g if av.shape == out.shape else g.sum(axis=0, keepdims=True)
-            gb = g if bv.shape == out.shape else g.sum(axis=0, keepdims=True)
+            ga = g if a_full else g.sum(axis=0, keepdims=True)
+            gb = g if b_full else g.sum(axis=0, keepdims=True)
             return ga, gb
 
         return self._derived(out, (a, b), vjp)
 
-    def relu(self, x: int) -> int:
+    def relu(self, x: Var) -> Var:
         xv = self.value(x)
         mask = xv > 0
 
@@ -228,8 +253,8 @@ class Tape:
 
         return self._derived(np.where(mask, xv, 0.0), (x,), vjp)
 
-    def group_norm(self, x: int, gamma: int, beta: int,
-                   n_groups: int = 1) -> int:
+    def group_norm(self, x: Var, gamma: Var, beta: Var,
+                   n_groups: int = 1) -> Var:
         xv = self.value(x)
         gv, bv = self.value(gamma), self.value(beta)
         n, d = xv.shape
@@ -256,7 +281,7 @@ class Tape:
 
         return self._derived(out, (x, gamma, beta), vjp)
 
-    def l2_normalize_rows(self, x: int) -> int:
+    def l2_normalize_rows(self, x: Var) -> Var:
         xv = self.value(x)
         norms = np.linalg.norm(xv, axis=1, keepdims=True)
         safe = np.where(norms > 0, norms, 1.0)
@@ -269,7 +294,7 @@ class Tape:
 
         return self._derived(y, (x,), vjp)
 
-    def dropout(self, x: int, rate: float) -> int:
+    def dropout(self, x: Var, rate: float) -> Var:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         if rate == 0.0 or not self.train:
@@ -283,20 +308,19 @@ class Tape:
 
         return self._derived(xv * keep * scale, (x,), vjp)
 
-    def scalar_mix(self, tensors: list[int], weights, tied: bool = False) -> int:
+    def scalar_mix(self, tensors: list[Var], weights, tied: bool = False) -> Var:
         """Weighted sum of same-shape matrices.
 
-        weights: a node handle (trainable) or a plain array (fixed). tied
-        mixes exactly two tensors as w*A + (1-w)*B from a single scalar.
+        weights: a Var (trainable) or a plain array (fixed). tied mixes
+        exactly two tensors as w*A + (1-w)*B from a single scalar.
         """
         vals = [self.value(t) for t in tensors]
         for v in vals[1:]:
             if v.shape != vals[0].shape:
                 raise _shape_error("scalar_mix", vals[0].shape, v.shape)
-        w_handle = weights if isinstance(weights, (int, np.integer)) else None
-        wv = self.value(w_handle) if w_handle is not None else np.asarray(
-            weights, dtype=np.float64
-        )
+        trainable = isinstance(weights, Var)
+        wv = weights.value if trainable else np.asarray(weights,
+                                                        dtype=np.float64)
         # the closure keeps the weight's shape, not the tape: a closure that
         # read the tape would hold every spent tape in a reference cycle
         w_shape = wv.shape
@@ -310,21 +334,23 @@ class Tape:
                 raise _shape_error("scalar_mix weights", (wv.size,), (len(tensors),))
             coef = wv
         out = sum(c * v for c, v in zip(coef, vals))
-        parents = tuple(tensors) + ((w_handle,) if w_handle is not None else ())
+        parents = tuple(tensors) + ((weights,) if trainable else ())
+        # only a trainable weight's gradient reads the inputs
+        kept = vals if trainable else None
 
         def vjp(g):
             grads = [c * g for c in coef]
-            if w_handle is not None:
+            if trainable:
                 if tied:
-                    gw = np.array([[np.sum(g * (vals[0] - vals[1]))]])
+                    gw = np.array([[np.sum(g * (kept[0] - kept[1]))]])
                 else:
-                    gw = np.array([[np.sum(g * v) for v in vals]])
+                    gw = np.array([[np.sum(g * v) for v in kept]])
                 grads.append(gw.reshape(w_shape))
             return tuple(grads)
 
         return self._derived(out, parents, vjp)
 
-    def exp_scale(self, x: int, log_scale: int) -> int:
+    def exp_scale(self, x: Var, log_scale: Var) -> Var:
         """exp(s) * x for a 1 x 1 log-scale node s (a learned temperature)."""
         xv, sv = self.value(x), self.value(log_scale)
         if sv.size != 1:
@@ -337,7 +363,7 @@ class Tape:
 
         return self._derived(out, (x, log_scale), vjp)
 
-    def take(self, x: int, indices, axis: int = 0) -> int:
+    def take(self, x: Var, indices, axis: int = 0) -> Var:
         """Rows (axis=0) or columns (axis=1) of x in the order of indices;
         a repeated index gathers its slice again and sums its gradients."""
         xv = self.value(x)
@@ -353,7 +379,7 @@ class Tape:
 
         return self._derived(out, (x,), vjp)
 
-    def mse(self, pred: int, target) -> int:
+    def mse(self, pred: Var, target) -> Var:
         pv = self.value(pred)
         tv = np.asarray(target, dtype=np.float64)
         if pv.shape != tv.shape:
@@ -366,7 +392,7 @@ class Tape:
 
         return self._derived(out, (pred,), vjp)
 
-    def rmse(self, pred: int, target) -> int:
+    def rmse(self, pred: Var, target) -> Var:
         pv = self.value(pred)
         tv = np.asarray(target, dtype=np.float64)
         if pv.shape != tv.shape:
@@ -381,7 +407,7 @@ class Tape:
 
         return self._derived(np.asarray(val), (pred,), vjp)
 
-    def cross_entropy_rows(self, logits: int, labels, mask=None) -> int:
+    def cross_entropy_rows(self, logits: Var, labels, mask=None) -> Var:
         """-log softmax(logits)[r, labels[r]], averaged over selected rows.
 
         mask selects the rows that carry supervision. With an empty
@@ -400,23 +426,24 @@ class Tape:
         shifted = lv - lv.max(axis=1, keepdims=True)
         logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         logp = shifted - logz
+        shape = lv.shape
         if n_sel == 0:
             return self._derived(np.asarray(0.0), (logits,),
-                                 lambda g: (np.zeros_like(lv),))
+                                 lambda g: (np.zeros(shape),))
         picked = logp[sel, lab[sel]]
         total = -picked.sum()
         scale = 1.0 / n_sel
         p = np.exp(logp)
 
         def vjp(g):
-            dx = np.zeros_like(lv)
+            dx = np.zeros(shape)
             dx[sel] = p[sel]
             dx[sel, lab[sel]] -= 1.0
             return (dx * (g * scale),)
 
         return self._derived(np.asarray(total * scale), (logits,), vjp)
 
-    def l2_penalty(self, x: int) -> int:
+    def l2_penalty(self, x: Var) -> Var:
         """Mean Euclidean norm of the rows."""
         xv = self.value(x)
         norms = np.linalg.norm(xv, axis=1, keepdims=True)
@@ -430,18 +457,18 @@ class Tape:
 
     # -- reverse pass --------------------------------------------------------
 
-    def backward(self, loss: int):
+    def backward(self, loss: Var):
         """Accumulate d(loss)/d(param) into the store for every param leaf."""
         if not self.train:
             raise RuntimeError("an eval tape records no backward pass")
         if self._spent:
             raise TapeReuseError("tape already ran backward; record a new pass")
         self._spent = True
-        loss_val = self.nodes[loss].value
-        if np.asarray(loss_val).size != 1:
+        loss_val = np.asarray(loss.value)
+        if loss_val.size != 1:
             raise ValueError(f"loss must be scalar, got shape {loss_val.shape}")
-        grads: dict[int, np.ndarray] = {loss: np.ones_like(np.asarray(loss_val))}
-        for idx in range(loss, -1, -1):
+        grads: dict[int, np.ndarray] = {loss.index: np.ones_like(loss_val)}
+        for idx in range(loss.index, -1, -1):
             node = self.nodes[idx]
             g = grads.pop(idx, None)
             if g is None or not node.needs_grad and node.param_name is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ParamStore, Tape, glorot_uniform
+from .autodiff import ParamStore, Tape, Var, glorot_uniform
 from .graph import CellFeatureGraph, EdgeScaling, NodeEmbeddings
 from .linalg import spmm, standardize_rows
 
@@ -108,8 +108,8 @@ def input_transform(tape: Tape, x: NodeEmbeddings):
                              tape.param("in.feat.b"), relu=True)
 
 
-def _message(tape: Tape, operator, transpose, h_source: int, layer: int,
-             channel: str, cfg: ConvConfig) -> int:
+def _message(tape: Tape, operator, transpose, h_source: Var, layer: int,
+             channel: str, cfg: ConvConfig) -> Var:
     """sigma(b + aggregated neighbors @ W), group-normalized in POST_NORM;
     transpose is the operator's, which the backward pass multiplies by."""
     p = f"l{layer}.{channel}"
@@ -122,8 +122,8 @@ def _message(tape: Tape, operator, transpose, h_source: int, layer: int,
     return msg
 
 
-def conv_layer(tape: Tape, operators, h_cell: int, h_feat: int, layer: int,
-               cfg: ConvConfig, h0_cell: int, h0_feat: int,
+def conv_layer(tape: Tape, operators, h_cell: Var, h_feat: Var, layer: int,
+               cfg: ConvConfig, h0_cell: Var, h0_feat: Var,
                last: bool = False):
     """One coupled layer: bidirectional messages plus residual updates.
 
@@ -161,7 +161,7 @@ def conv_layer(tape: Tape, operators, h_cell: int, h_feat: int, layer: int,
     return new_cell, new_feat
 
 
-def readout(tape: Tape, cell_states: list[int]) -> int:
+def readout(tape: Tape, cell_states: list[Var]) -> Var:
     """Learned weighted sum of per-layer cell state handles (Eq. 13-style)."""
     if not cell_states:
         raise ValueError("readout needs at least one cell state")
@@ -196,7 +196,7 @@ def decoupled_propagate(g: CellFeatureGraph, x_cell: np.ndarray,
 
 
 def decoupled_forward(tape: Tape, states: list[np.ndarray], cfg: ConvConfig,
-                      prefix: str = "") -> int:
+                      prefix: str = "") -> Var:
     """Shared 2-layer MLP over each propagated state, then the readout mix.
 
     states must include the raw input as its first entry.
@@ -214,7 +214,7 @@ def decoupled_forward(tape: Tape, states: list[np.ndarray], cfg: ConvConfig,
 
 
 def forward(tape: Tape, g: CellFeatureGraph, x: NodeEmbeddings,
-            cfg: ConvConfig) -> int:
+            cfg: ConvConfig) -> Var:
     """Coupled cell representation H-hat: the readout of every layer's
     cell state, with edges scaled by cfg.aggregation_norm."""
     operators = g.operators(cfg.aggregation_norm)

@@ -55,19 +55,22 @@ def _csr_rows(n: int, src, dst, weights):
             np.repeat(weights, 2)[order], self_w)
 
 
-# entries per distance block; inputs of up to 2048 points take one block
-_DISTANCE_BLOCK = 1 << 22
+# entries per distance block; inputs of up to 1024 points take one block
+_DISTANCE_BLOCK = 1 << 20
 
 
 def _distance_blocks(points: np.ndarray):
     """Yield (rows, block): Euclidean distances from the slice `rows` of
-    `points` to every row, at most `_DISTANCE_BLOCK` entries per block."""
+    `points` to every row, at most `_DISTANCE_BLOCK` entries per block.
+    Every block is written into one buffer, so a block is valid only until
+    the next one is yielded; the buffer's memory is faulted in once."""
     n = len(points)
     sq = (points * points).sum(axis=1)
     step = max(1, _DISTANCE_BLOCK // max(n, 1))
+    buf = np.empty((min(step, n), n))
     for start in range(0, n, step):
         rows = slice(start, min(n, start + step))
-        d = sq[rows, None] + sq[None, :]
+        d = np.add(sq[rows, None], sq[None, :], out=buf[:rows.stop - start])
         d -= (2.0 * points[rows]) @ points.T
         np.sqrt(np.maximum(d, 0.0, out=d), out=d)
         # the expansion leaves rounding noise where d(i, i) is exactly 0

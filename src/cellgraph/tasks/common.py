@@ -87,9 +87,10 @@ def run_training(store: ParamStore, train_epoch, validate,
             store, train=True,
             rng=np.random.default_rng([protocol.seed, epoch]))
         loss = train_epoch(tape)
-        # the spent tape is freed only now, under this pass's arrays, so the
-        # allocator reuses its memory for the next pass instead of handing
-        # it back to the system and faulting it in again
+        # the spent tape, which holds what its backward closures read, is
+        # freed only now, under this pass's arrays, so the allocator reuses
+        # its memory for the next pass instead of handing it back to the
+        # system and faulting it in again
         del spent
         loss_val = float(np.asarray(tape.value(loss)))
         if not np.isfinite(loss_val):

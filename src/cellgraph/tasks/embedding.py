@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import ParamStore, Tape, glorot_uniform
+from ..autodiff import ParamStore, Tape, Var, glorot_uniform
 from ..convnet import ConvConfig, decoupled_forward, decoupled_propagate, \
     init_decoupled_params
 from ..graph import EdgeScaling, build_bipartite
@@ -38,7 +38,7 @@ def register_embed_params(store: ParamStore, d: int, target_dim: int,
     store.register("je.b2", np.zeros((1, target_dim)))
 
 
-def joint_embedding_loss(tape: Tape, h: int, x_lsi, cell_types, n_types: int,
+def joint_embedding_loss(tape: Tape, h: Var, x_lsi, cell_types, n_types: int,
                          beta: float):
     """(total, recon, celltype, regular) loss handles.
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..assignment import AssignmentProblem, percentile_filter, solve
-from ..autodiff import ParamStore, Tape, glorot_uniform
+from ..autodiff import ParamStore, Tape, Var, glorot_uniform
 from ..convnet import ConvConfig, decoupled_forward, decoupled_propagate, \
     init_decoupled_params
 from ..graph import EdgeScaling, build_bipartite
@@ -63,7 +63,7 @@ def logit_scale(store: ParamStore) -> float:
     return float(np.exp(store.value(LOGIT_SCALE).reshape(-1)[0]))
 
 
-def _aux_net(tape: Tape, h: int, name: str) -> int:
+def _aux_net(tape: Tape, h: Var, name: str) -> Var:
     hidden = tape.affine(h, tape.param(name + ".w1"),
                          tape.param(name + ".b1"), relu=True)
     return tape.affine(hidden, tape.param(name + ".w2"),
@@ -85,7 +85,7 @@ def _pair_blocks(tape: Tape, n: int) -> list[np.ndarray]:
             np.array_split(tape.rng.permutation(n), -(-n // MATCH_BLOCK))]
 
 
-def matching_losses(tape: Tape, h1: int, h2: int, truth,
+def matching_losses(tape: Tape, h1: Var, h2: Var, truth,
                     aux_targets=None, aux_weight: float = 1.0):
     """(total, match, aux) loss handles; total = match + aux_weight * aux.
 

@@ -230,6 +230,61 @@ class TestBackward:
         assert "matmul" in ops and not unchecked, unchecked
 
 
+class TestHandles:
+    """A value lives in the Var an op returns; the tape keeps only what a
+    backward reads, so a value no closure reads dies with its handle."""
+
+    def test_param_value_is_the_store_array(self):
+        store = store_with(w=np.ones((2, 2)))
+        for train in (True, False):
+            assert Tape(store, train=train).param("w").value is store.value("w")
+
+    def test_add_output_before_dropout_dies_with_its_handle(self):
+        store = store_with(x=np.arange(6.0).reshape(2, 3))
+        t = Tape(store, rng=np.random.default_rng(0))
+        summed = t.add(t.param("x"), t.constant(np.ones((2, 3))))
+        alive = weakref.ref(summed.value)
+        dropped = t.dropout(summed, 0.5)
+        del summed
+        assert alive() is None
+        keep = t.value(dropped) != 0
+        t.backward(t.mse(dropped, np.zeros((2, 3))))
+        x = store.value("x")
+        expected = 2.0 * (x + 1.0) * 2.0 * keep * 2.0 / 6
+        assert np.allclose(store.grad("x"), expected)
+
+    def test_fixed_mix_keeps_none_of_its_inputs(self):
+        store = store_with(x=np.ones((2, 2)))
+        t = Tape(store)
+        x = t.param("x")
+        inputs = [t.add(x, t.constant(np.full((2, 2), c))) for c in (1., 2.)]
+        alive = [weakref.ref(h.value) for h in inputs]
+        mixed = t.scalar_mix(inputs, np.array([0.25, 0.75]))
+        del inputs
+        assert all(ref() is None for ref in alive)
+        t.backward(t.mse(mixed, np.zeros((2, 2))))
+        # d/dx mean((x + 1.75)^2) at x = 1
+        assert np.allclose(store.grad("x"), 2.0 * 2.75 / 4)
+
+    def test_relu_affine_keeps_a_mask_not_its_output(self):
+        store = store_with(w=[[1.0, -1.0], [2.0, 0.5]], b=[[0.0, -4.0]])
+        t = Tape(store)
+        x = np.array([[1.0, 2.0], [-3.0, 1.0]])
+        out = t.affine(t.constant(x), t.param("w"), t.param("b"), relu=True)
+        alive = weakref.ref(out.value)
+        loss = t.mse(out, np.zeros((2, 2)))
+        node = t.nodes[out]
+        del out
+        assert alive() is None
+        cells = [c.cell_contents for c in node.vjp.__closure__]
+        masks = [c for c in cells if isinstance(c, np.ndarray)
+                 and c.dtype == bool]
+        assert len(masks) == 1
+        t.backward(loss)
+        h = np.maximum(x @ store.value("w") + store.value("b"), 0.0)
+        assert np.allclose(store.grad("w"), x.T @ (2.0 * h / h.size))
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         store = store_with(w=np.ones((2, 2)))
