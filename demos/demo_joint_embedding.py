@@ -27,16 +27,16 @@ protocol = TrainProtocol(patience_epochs=100, max_epochs=500, seed=0,
 print("training the joint-embedding head...")
 model = train_joint_embedding(ds.modality_1, m2, ds.cell_type_labels,
                               protocol, EmbedConfig())
-emb = model.embed()
-print(f"  embedding {emb.embedding.shape}, first {emb.cell_type_dims} "
+embedding = model.embed()
+print(f"  embedding {embedding.shape}, first {model.n_types} "
       f"dimensions carry the cell-type logits")
 
 # one kNN graph serves NMI, trajectory and connectivity
-graph = knn_graph(emb.embedding, 15)
+graph = knn_graph(embedding, 15)
 
 # --- biology conservation -------------------------------------------------
 nmi_score = nmi_cluster_label(graph, ds.cell_type_labels, seed=0)
-asw = cell_type_asw(emb.embedding, ds.cell_type_labels)
+asw = cell_type_asw(embedding, ds.cell_type_labels)
 
 # cell-cycle conservation compares variance explained by a per-cell gene
 # program before vs after integration; "before" comes from the LSI input
@@ -46,7 +46,7 @@ var_before = {
                           lsi_input[ds.batch_labels == b])
     for b in np.unique(ds.batch_labels)
 }
-cc = cell_cycle_conservation(ds.cc_scores, emb.embedding, ds.batch_labels,
+cc = cell_cycle_conservation(ds.cc_scores, embedding, ds.batch_labels,
                              var_before)
 
 # trajectory conservation: rank agreement of pseudotime before vs after
@@ -55,7 +55,7 @@ after = pseudotime_from_root(graph, root)
 traj = trajectory_conservation(ds.pseudotime, after)
 
 # --- batch removal ----------------------------------------------------------
-basw = batch_asw(emb.embedding, ds.batch_labels, ds.cell_type_labels)
+basw = batch_asw(embedding, ds.batch_labels, ds.cell_type_labels)
 connectivity = graph_connectivity(graph, ds.cell_type_labels)
 
 report = aggregate(nmi_score, asw, cc, traj, basw, connectivity)

@@ -6,11 +6,10 @@ from . import assignment, autodiff, convnet, data, graph, linalg, metrics, tasks
 from .autodiff import ParamStore, Tape, adam_step, lr_decay
 from .convnet import ConvConfig
 from .graph import CellFeatureGraph, EdgeScaling, GeneSetCollection, \
-    NodeEmbeddings, augment_with_pathways, build_bipartite, init_embeddings
+    augment_with_pathways, build_bipartite
 from .linalg import SparseMatrix, spmm, truncated_svd
-from .tasks import (EmbedConfig, JointEmbedding, MatcherConfig, MatchOutput,
-                    TrainProtocol, train_joint_embedding, train_matcher,
-                    train_prediction)
+from .tasks import (EmbedConfig, MatcherConfig, MatchOutput, TrainProtocol,
+                    train_joint_embedding, train_matcher, train_prediction)
 
 __version__ = "0.1.0"
 
@@ -18,10 +17,9 @@ __all__ = [
     "assignment", "autodiff", "convnet", "data", "graph", "linalg",
     "metrics", "tasks",
     "ParamStore", "Tape", "adam_step", "lr_decay", "ConvConfig",
-    "CellFeatureGraph", "EdgeScaling", "GeneSetCollection", "NodeEmbeddings",
-    "augment_with_pathways", "build_bipartite", "init_embeddings",
+    "CellFeatureGraph", "EdgeScaling", "GeneSetCollection",
+    "augment_with_pathways", "build_bipartite",
     "SparseMatrix", "spmm", "truncated_svd",
-    "EmbedConfig", "JointEmbedding", "MatcherConfig", "MatchOutput",
-    "TrainProtocol", "train_joint_embedding", "train_matcher",
-    "train_prediction",
+    "EmbedConfig", "MatcherConfig", "MatchOutput", "TrainProtocol",
+    "train_joint_embedding", "train_matcher", "train_prediction",
 ]

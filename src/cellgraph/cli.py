@@ -201,23 +201,23 @@ def _run_embed(cfg: RunConfig) -> int:
     m2 = ds.modality_2_aligned()
     model = train_joint_embedding(ds.modality_1, m2, ds.cell_type_labels,
                                   cfg.protocol(), cfg.embed_config())
-    emb = model.embed()
+    embedding = model.embed()
     out = _out_dir(cfg, "embed_out")
     write_run_log(model.history, os.path.join(out, "run.log"))
-    dio.write_dense_matrix(emb.embedding, os.path.join(out, "embedding.mtx"))
+    dio.write_dense_matrix(embedding, os.path.join(out, "embedding.mtx"))
     report = {
         "task": "embed",
         "val_loss": model.validation_loss,
         "best_epoch": model.best_epoch,
         "epochs_run": len(model.history),
         "n_cells": ds.n_cells,
-        "n_types": emb.cell_type_dims,
+        "n_types": model.n_types,
         "seed": cfg.train.seed,
     }
     dio.write_kv(report, os.path.join(out, "report.kv"))
     save_checkpoint(model.store, os.path.join(out, "model.ckpt"))
     metrics_report = _metric_suite(
-        emb.embedding, ds.cell_type_labels, ds.batch_labels, cfg.knn_k,
+        embedding, ds.cell_type_labels, ds.batch_labels, cfg.knn_k,
         pseudotime_before=ds.pseudotime, cc_scores=ds.cc_scores,
         pre_embedding=model.states[0], seed=cfg.train.seed,
     )

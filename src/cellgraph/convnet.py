@@ -14,10 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamStore, Tape, Var, glorot_uniform
-from .graph import CellFeatureGraph, EdgeScaling, NodeEmbeddings
+from .graph import CellFeatureGraph, EdgeScaling
 from .linalg import spmm, standardize_rows
 
 TASK_LAYER_COUNTS = {"predict": 4, "match": 3, "embed": 2}
+# features start from a one-hot code up to this count, and from a learned
+# table beyond it
+ONE_HOT_MAX_FEATURES = 2000
 
 
 @dataclass
@@ -50,19 +53,25 @@ class ConvConfig:
             raise ValueError("n_groups must divide hidden_dim")
 
 
-def init_params(g: CellFeatureGraph, x: NodeEmbeddings, cfg: ConvConfig,
-                store: ParamStore, seed: int):
+def init_params(g: CellFeatureGraph, cfg: ConvConfig, store: ParamStore,
+                seed: int):
     """Register every parameter of the coupled network, the pathway
-    channel's among them when the graph has pathway edges. The last
+    channel's among them when the graph has pathway edges. Beyond
+    ONE_HOT_MAX_FEATURES features, "feature_table" comes first, drawn from
+    its own generator uniform in [-1/sqrt(d), 1/sqrt(d)]. The last
     layer's uv and vv weights keep their place in the draws, though the
     forward pass, which computes no last feature update, reads none."""
     cfg.validate()
-    rng = np.random.default_rng(seed)
     d = cfg.hidden_dim
-    store.register("in.cell.w", glorot_uniform(rng, x.cell_embed.shape[1], d))
+    feat_fan_in = g.n_features
+    if g.n_features > ONE_HOT_MAX_FEATURES:
+        bound = 1.0 / np.sqrt(d)
+        store.register("feature_table", np.random.default_rng(seed).uniform(
+            -bound, bound, size=(g.n_features, d)))
+        feat_fan_in = d
+    rng = np.random.default_rng(seed)
+    store.register("in.cell.w", glorot_uniform(rng, 1, d))
     store.register("in.cell.b", np.zeros((1, d)))
-    feat_fan_in = (g.n_features if x.feature_embed is None
-                   else x.feature_embed.shape[1])
     store.register("in.feat.w", glorot_uniform(rng, feat_fan_in, d))
     store.register("in.feat.b", np.zeros((1, d)))
     for layer in range(1, cfg.n_layers + 1):
@@ -94,18 +103,19 @@ def init_decoupled_params(n_input_features: int, cfg: ConvConfig,
     store.register(p + "readout.w", np.full(n_states, 1.0 / n_states))
 
 
-def input_transform(tape: Tape, x: NodeEmbeddings):
-    """H1 = relu(X W + b), separately per node type; for one-hot feature
-    input X W is W itself."""
-    cell = tape.affine(tape.constant(x.cell_embed), tape.param("in.cell.w"),
-                       tape.param("in.cell.b"), relu=True)
-    if x.feature_embed is None:
+def input_transform(tape: Tape, g: CellFeatureGraph):
+    """H1 = relu(X W + b), separately per node type. X is one zero column
+    for the cells; for the features it is the one-hot code, where X W is W
+    itself, or beyond ONE_HOT_MAX_FEATURES the learned feature table."""
+    cell = tape.affine(tape.constant(np.zeros((g.n_cells, 1))),
+                       tape.param("in.cell.w"), tape.param("in.cell.b"),
+                       relu=True)
+    if g.n_features <= ONE_HOT_MAX_FEATURES:
         return cell, tape.relu(tape.add(tape.param("in.feat.w"),
                                         tape.param("in.feat.b")))
-    feat_in = (tape.param(x.feature_param) if x.feature_param
-               else tape.constant(x.feature_embed))
-    return cell, tape.affine(feat_in, tape.param("in.feat.w"),
-                             tape.param("in.feat.b"), relu=True)
+    return cell, tape.affine(tape.param("feature_table"),
+                             tape.param("in.feat.w"), tape.param("in.feat.b"),
+                             relu=True)
 
 
 def _message(tape: Tape, operator, transpose, h_source: Var, layer: int,
@@ -213,12 +223,11 @@ def decoupled_forward(tape: Tape, states: list[np.ndarray], cfg: ConvConfig,
     return tape.scalar_mix(transformed, tape.param(p + "readout.w"))
 
 
-def forward(tape: Tape, g: CellFeatureGraph, x: NodeEmbeddings,
-            cfg: ConvConfig) -> Var:
+def forward(tape: Tape, g: CellFeatureGraph, cfg: ConvConfig) -> Var:
     """Coupled cell representation H-hat: the readout of every layer's
     cell state, with edges scaled by cfg.aggregation_norm."""
     operators = g.operators(cfg.aggregation_norm)
-    h_cell, h_feat = input_transform(tape, x)
+    h_cell, h_feat = input_transform(tape, g)
     h0_cell, h0_feat = h_cell, h_feat
     h_cell = tape.dropout(h_cell, cfg.dropout_rate)
     h_feat = tape.dropout(h_feat, cfg.dropout_rate)

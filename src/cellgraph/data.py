@@ -45,8 +45,13 @@ class Dataset:
         n = self.modality_1.n_rows
         if len(self.cell_ids) != n or len(self.batch_labels) != n:
             raise ValueError("per-cell arrays must have length n_cells")
-        if len(self.feature_names_1) != self.modality_1.n_cols:
-            raise ValueError("feature name count must match matrix width")
+        for k, m, names in ((1, self.modality_1, self.feature_names_1),
+                            (2, self.modality_2, self.feature_names_2)):
+            n_names = len(names or ())
+            if m is not None and n_names != m.n_cols:
+                raise ValueError(f"feature_names_{k} has {n_names} names, "
+                                 f"expected one per modality_{k} column "
+                                 f"({m.n_cols})")
         if self.modality_2 is not None and self.modality_2.n_rows != n:
             raise ValueError(f"modality_2 has {self.modality_2.n_rows} rows, "
                              f"expected {n}")

@@ -8,8 +8,7 @@ import numpy as np
 
 from .autodiff import ParamStore, Tape, finite_difference_check, glorot_uniform
 from .convnet import ConvConfig, forward, init_params
-from .graph import (CellFeatureGraph, EdgeScaling, build_bipartite,
-                    init_embeddings)
+from .graph import CellFeatureGraph, EdgeScaling, build_bipartite
 from .linalg import SparseMatrix
 from .tasks.matching import (matching_losses, register_aux_params,
                              register_logit_scale)
@@ -164,8 +163,7 @@ def full_network_check(seed: int = 0) -> float:
                      aggregation_norm=EdgeScaling.POST_NORM,
                      alpha="learnable", dropout_rate=0.1, n_groups=1)
     store = ParamStore()
-    x = init_embeddings(g)
-    init_params(g, x, cfg, store, seed=seed)
+    init_params(g, cfg, store, seed=seed)
     store.register("head.w", glorot_uniform(rng, cfg.hidden_dim, 3))
     store.register("head.b", np.zeros((1, 3)))
     # randomize every parameter: zero-init biases with zero cell inputs put
@@ -181,7 +179,7 @@ def full_network_check(seed: int = 0) -> float:
     target = rng.standard_normal((g.n_cells, 3))
 
     def build(tape: Tape):
-        h_hat = forward(tape, g, x, cfg)
+        h_hat = forward(tape, g, cfg)
         pred = tape.affine(h_hat, tape.param("head.w"), tape.param("head.b"))
         return tape.rmse(pred, target)
 

@@ -1,4 +1,4 @@
-"""Cell-feature bipartite graph construction and initial node embeddings.
+"""Cell-feature bipartite graph construction.
 
 The graph is the modality matrix itself: cells (rows) and measured features
 (columns) are the two node sets, and each stored entry is an edge weighted
@@ -137,21 +137,6 @@ class GeneSetCollection:
                     )
 
 
-@dataclass
-class NodeEmbeddings:
-    """Initial cell and feature node embeddings.
-
-    feature_embed is None for one-hot feature input (the identity, never
-    built). feature_param names a trainable table in a ParamStore when the
-    learned initialization is active; feature_embed then mirrors its
-    initial value.
-    """
-
-    cell_embed: np.ndarray
-    feature_embed: np.ndarray | None
-    feature_param: str | None = None
-
-
 def build_bipartite(m: SparseMatrix) -> CellFeatureGraph:
     """The graph over m: one weighted edge per stored entry."""
     if m.nnz == 0:
@@ -188,26 +173,3 @@ def augment_with_pathways(g: CellFeatureGraph,
         ff_weights=np.asarray(ww, dtype=np.float64),
     )
 
-
-def init_embeddings(g: CellFeatureGraph, table_dim: int | None = None,
-                    store=None, seed: int = 0) -> NodeEmbeddings:
-    """Initial embeddings: zero cells, and one-hot features up to 2000
-    features, a learned table beyond.
-
-    A learned table is seeded uniform in [-1/sqrt(d), 1/sqrt(d)] and
-    registered in `store` as "feature_table" when one is given.
-    """
-    k = g.n_features
-    cell_embed = np.zeros((g.n_cells, 1))
-    if k <= 2000:
-        return NodeEmbeddings(cell_embed, None)
-    d = table_dim
-    if not d or d < 1:
-        raise ValueError("learned feature table needs a positive dimension")
-    bound = 1.0 / np.sqrt(d)
-    table = np.random.default_rng(seed).uniform(-bound, bound, size=(k, d))
-    name = None
-    if store is not None:
-        name = "feature_table"
-        store.register(name, table)
-    return NodeEmbeddings(cell_embed, table, feature_param=name)

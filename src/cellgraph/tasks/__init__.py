@@ -2,9 +2,9 @@
 
 from .common import (EpochRecord, TrainProtocol, run_training, split_cells,
                      write_run_log)
-from .embedding import (EmbedConfig, EmbedModel, JointEmbedding,
-                        joint_embedding_loss, pca_concat_baseline,
-                        register_embed_params, train_joint_embedding)
+from .embedding import (EmbedConfig, EmbedModel, joint_embedding_loss,
+                        pca_concat_baseline, register_embed_params,
+                        train_joint_embedding)
 from .matching import (MatcherConfig, MatcherModel, MatchOutput, logit_scale,
                        match_inference, match_scores, matching_losses,
                        reduce_modality, register_aux_params,
@@ -16,7 +16,7 @@ from .prediction import (PredictionModel, mean_predictor_rmse, rmse_loss,
 __all__ = [
     "EpochRecord", "TrainProtocol", "run_training", "split_cells",
     "write_run_log",
-    "EmbedConfig", "EmbedModel", "JointEmbedding", "joint_embedding_loss",
+    "EmbedConfig", "EmbedModel", "joint_embedding_loss",
     "pca_concat_baseline", "register_embed_params", "train_joint_embedding",
     "MatcherConfig", "MatcherModel", "MatchOutput", "logit_scale",
     "match_inference", "match_scores", "matching_losses", "reduce_modality",

@@ -17,16 +17,6 @@ from .common import EpochRecord, TrainProtocol, run_training, split_cells
 EMBED_LR = 1e-2
 
 
-@dataclass
-class JointEmbedding:
-    """Final per-cell representation; the first cell_type_dims columns are
-    the supervised cell-type logits."""
-
-    embedding: np.ndarray
-    cell_type_dims: int
-    beta: float
-
-
 def register_embed_params(store: ParamStore, d: int, target_dim: int,
                           seed: int):
     """The two-layer reconstruction perceptron f from the representation
@@ -86,10 +76,11 @@ class EmbedModel:
     best_epoch: int
     history: list[EpochRecord] = field(default_factory=list)
 
-    def embed(self) -> JointEmbedding:
+    def embed(self) -> np.ndarray:
+        """Final per-cell representation; its first n_types columns are the
+        supervised cell-type logits."""
         tape = Tape(self.store, train=False)
-        h = tape.value(decoupled_forward(tape, self.states, self.cfg.conv))
-        return JointEmbedding(h, self.n_types, self.cfg.beta)
+        return tape.value(decoupled_forward(tape, self.states, self.cfg.conv))
 
 
 def train_joint_embedding(m1: SparseMatrix, m2: SparseMatrix, cell_types,

@@ -8,8 +8,7 @@ import numpy as np
 
 from ..autodiff import ParamStore, Tape, glorot_uniform
 from ..convnet import ConvConfig, forward, init_params
-from ..graph import (CellFeatureGraph, GeneSetCollection, NodeEmbeddings,
-                     augment_with_pathways, init_embeddings)
+from ..graph import CellFeatureGraph, GeneSetCollection, augment_with_pathways
 from ..linalg import SparseMatrix, truncated_svd
 from .common import EpochRecord, TrainProtocol, run_training, split_cells
 
@@ -25,11 +24,11 @@ def rmse_loss(pred, target) -> float:
     return float(np.sqrt(((p - t) ** 2).mean()))
 
 
-def _predict(store: ParamStore, g: CellFeatureGraph, x: NodeEmbeddings,
+def _predict(store: ParamStore, g: CellFeatureGraph,
              cfg: ConvConfig) -> np.ndarray:
     """Eval-mode forward pass through the head, for every cell."""
     tape = Tape(store, train=False)
-    h_hat = forward(tape, g, x, cfg)
+    h_hat = forward(tape, g, cfg)
     return tape.value(tape.affine(h_hat, tape.param("head.w"),
                                   tape.param("head.b")))
 
@@ -39,7 +38,6 @@ class PredictionModel:
     store: ParamStore
     cfg: ConvConfig
     graph: CellFeatureGraph
-    embeddings: NodeEmbeddings
     validation_rmse: float
     best_epoch: int
     history: list[EpochRecord] = field(default_factory=list)
@@ -48,7 +46,7 @@ class PredictionModel:
 
     def predict(self) -> np.ndarray:
         """Eval-mode forward pass through the trained head."""
-        return _predict(self.store, self.graph, self.embeddings, self.cfg)
+        return _predict(self.store, self.graph, self.cfg)
 
 
 def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
@@ -67,9 +65,7 @@ def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
     if gene_sets is not None:
         g = augment_with_pathways(g, gene_sets)
     store = ParamStore()
-    x = init_embeddings(g, table_dim=cfg.hidden_dim, store=store,
-                        seed=protocol.seed)
-    init_params(g, x, cfg, store, seed=protocol.seed)
+    init_params(g, cfg, store, seed=protocol.seed)
     rng = np.random.default_rng(protocol.seed + 1)
     store.register("head.w", glorot_uniform(rng, cfg.hidden_dim,
                                             target.shape[1]))
@@ -80,18 +76,18 @@ def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
     target_train = target[train_idx]
 
     def train_epoch(tape: Tape):
-        h_hat = forward(tape, g, x, cfg)
+        h_hat = forward(tape, g, cfg)
         pred = tape.affine(h_hat, tape.param("head.w"), tape.param("head.b"))
         return tape.rmse(tape.take(pred, train_idx), target_train)
 
     def validate() -> float:
-        pred = _predict(store, g, x, cfg)
+        pred = _predict(store, g, cfg)
         return rmse_loss(pred[val_idx], target[val_idx])
 
     best_val, best_epoch, history = run_training(
         store, train_epoch, validate, protocol, PREDICTION_LR
     )
-    return PredictionModel(store, cfg, g, x, best_val, best_epoch, history,
+    return PredictionModel(store, cfg, g, best_val, best_epoch, history,
                            train_idx, val_idx)
 
 

@@ -197,7 +197,7 @@ def test_criterion_08_joint_embedding_skill():
         model = train_joint_embedding(ds.modality_1, m2,
                                       ds.cell_type_labels, protocol,
                                       EmbedConfig())
-        score = nmi_cluster_label(knn_graph(model.embed().embedding, 15),
+        score = nmi_cluster_label(knn_graph(model.embed(), 15),
                                   ds.cell_type_labels, seed=0)
         margins.append(score - baseline)
     assert all(m >= 0.05 for m in margins), (baseline, margins)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from cellgraph.autodiff import ParamStore, Tape, Var, finite_difference_check
-from cellgraph.convnet import (ConvConfig, TASK_LAYER_COUNTS, conv_layer,
+from cellgraph.convnet import (ONE_HOT_MAX_FEATURES, ConvConfig,
+                               TASK_LAYER_COUNTS, conv_layer,
                                decoupled_forward, decoupled_propagate, forward,
                                init_decoupled_params, init_params,
                                input_transform, readout)
 from cellgraph.graph import (EdgeScaling, GeneSetCollection,
-                             NodeEmbeddings, augment_with_pathways,
-                             build_bipartite, init_embeddings)
+                             augment_with_pathways, build_bipartite)
 from cellgraph.linalg import SparseMatrix, spmm, standardize_rows
 from cellgraph.tasks import TrainProtocol, prediction
 
@@ -29,37 +29,84 @@ def relu(x):
 class TestInputTransform:
     def setup_method(self):
         self.g = toy_graph([[1.0, 2.0], [3.0, 0.0], [0.0, 1.0]])
-        self.x = init_embeddings(self.g)
         self.cfg = ConvConfig(n_layers=1, hidden_dim=4, dropout_rate=0.0,
                               aggregation_norm=EdgeScaling.SYMMETRIC)
 
     def test_zero_inputs_zero_bias_give_zero(self):
         store = ParamStore()
-        init_params(self.g, self.x, self.cfg, store, seed=0)
+        init_params(self.g, self.cfg, store, seed=0)
         t = Tape(store)
-        cell, _ = input_transform(t, self.x)
+        cell, _ = input_transform(t, self.g)
         assert np.array_equal(t.value(cell), np.zeros((3, 4)))
 
     def test_one_hot_selects_relu_of_weight_rows(self):
         store = ParamStore()
-        init_params(self.g, self.x, self.cfg, store, seed=0)
+        init_params(self.g, self.cfg, store, seed=0)
         t = Tape(store)
-        _, feat = input_transform(t, self.x)
+        _, feat = input_transform(t, self.g)
         w = store.value("in.feat.w")
         b = store.value("in.feat.b")
         assert np.allclose(t.value(feat), relu(w + b))
 
-    def test_matches_hand_composition(self):
-        rng = np.random.default_rng(0)
+
+class TestInitParams:
+    def test_one_hot_registers_no_table(self):
+        # the identity is implicit: the input layer reads its weight rows
         store = ParamStore()
-        init_params(self.g, self.x, self.cfg, store, seed=1)
-        x_rand = self.x
-        x_rand.cell_embed = rng.standard_normal((3, 1))
+        init_params(toy_graph(np.ones((2, 3))), ConvConfig(hidden_dim=8),
+                    store, seed=0)
+        assert "feature_table" not in store
+        assert store.value("in.feat.w").shape == (3, 8)
+
+    def test_cell_input_is_one_zero_column(self):
+        g = toy_graph(np.ones((5, 2)))
+        store = ParamStore()
+        init_params(g, ConvConfig(hidden_dim=4), store, seed=0)
+        assert store.value("in.cell.w").shape == (1, 4)
+        rng = np.random.default_rng(1)
+        store.value("in.cell.b")[:] = rng.standard_normal((1, 4))
         t = Tape(store)
-        cell, _ = input_transform(t, x_rand)
-        expected = relu(x_rand.cell_embed @ store.value("in.cell.w")
-                        + store.value("in.cell.b"))
-        assert np.allclose(t.value(cell), expected)
+        cell, _ = input_transform(t, g)
+        # a zero column times any weight leaves relu of the bias
+        assert np.array_equal(
+            t.value(cell), np.repeat(relu(store.value("in.cell.b")), 5, 0))
+
+    def test_table_registered_first(self):
+        store = ParamStore()
+        init_params(toy_graph(np.ones((2, ONE_HOT_MAX_FEATURES + 1))),
+                    ConvConfig(hidden_dim=8), store, seed=0)
+        assert store.names()[:4] == ["feature_table", "in.cell.w",
+                                     "in.cell.b", "in.feat.w"]
+        assert store.value("in.feat.w").shape == (8, 8)
+
+    def test_table_within_bound_and_same_for_same_seed(self):
+        g = toy_graph(np.ones((4, 2001)))
+        tables = []
+        for _ in range(2):
+            store = ParamStore()
+            init_params(g, ConvConfig(hidden_dim=16), store, seed=5)
+            tables.append(store.value("feature_table"))
+        assert tables[0].shape == (2001, 16)
+        bound = 1 / np.sqrt(16)
+        assert np.all(np.abs(tables[0]) <= bound)
+        assert np.array_equal(tables[0], tables[1])
+        # the table has a generator of its own, seeded as the network's
+        assert np.array_equal(tables[0], np.random.default_rng(5).uniform(
+            -bound, bound, size=(2001, 16)))
+
+    def test_table_dim_zero_rejected(self):
+        with pytest.raises(ValueError):
+            init_params(toy_graph(np.ones((2, 2001))),
+                        ConvConfig(hidden_dim=0), ParamStore(), seed=0)
+
+    def test_no_table_at_exactly_2000_features(self):
+        assert ONE_HOT_MAX_FEATURES == 2000
+        for k, has in ((2000, False), (2001, True)):
+            store = ParamStore()
+            init_params(toy_graph(np.ones((2, k))), ConvConfig(hidden_dim=8),
+                        store, seed=0)
+            assert ("feature_table" in store) == has
+            assert store.value("in.feat.w").shape == ((8 if has else k), 8)
 
 
 class TestConvLayer:
@@ -70,8 +117,7 @@ class TestConvLayer:
                          aggregation_norm=EdgeScaling.POST_NORM,
                          residual_mode="skip")
         store = ParamStore()
-        x = init_embeddings(g)
-        init_params(g, x, cfg, store, seed=0)
+        init_params(g, cfg, store, seed=0)
         t = Tape(store)
         rng = np.random.default_rng(1)
         h_cell = t.constant(rng.standard_normal((2, 3)))
@@ -94,8 +140,7 @@ class TestConvLayer:
                          aggregation_norm=EdgeScaling.SYMMETRIC, alpha=1.0,
                          residual_mode="skip")
         store = ParamStore()
-        x = init_embeddings(g)
-        init_params(g, x, cfg, store, seed=3)
+        init_params(g, cfg, store, seed=3)
         # zero the cells->features channel parameters: with alpha=1 the
         # feature update must not change at all
         t = Tape(store)
@@ -120,8 +165,7 @@ class TestConvLayer:
                          aggregation_norm=EdgeScaling.SYMMETRIC,
                          residual_mode="skip")
         store = ParamStore()
-        x = init_embeddings(g)
-        init_params(g, x, cfg, store, seed=4)
+        init_params(g, cfg, store, seed=4)
         rng = np.random.default_rng(5)
         hc = rng.standard_normal((3, 2))
         hf = rng.standard_normal((2, 2))
@@ -146,7 +190,7 @@ class TestConvLayer:
                          aggregation_norm=EdgeScaling.SYMMETRIC,
                          residual_mode="initial")
         store = ParamStore()
-        init_params(g, init_embeddings(g), cfg, store, seed=6)
+        init_params(g, cfg, store, seed=6)
         rng = np.random.default_rng(7)
         h0c, h0f = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         hc, hf = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
@@ -173,7 +217,7 @@ class TestPathwayChannel:
                             True),
                            (build_bipartite(m), False)):
                 store = ParamStore()
-                init_params(g, init_embeddings(g), cfg, store, seed=0)
+                init_params(g, cfg, store, seed=0)
                 assert ("l1.vv.w" in store) == has
                 assert ("l1.vv.gn.g" in store) == has
                 assert ("alpha" in store) == (has and alpha == "learnable")
@@ -282,12 +326,11 @@ class TestForward:
         cfg = ConvConfig(n_layers=2, hidden_dim=4, dropout_rate=0.3,
                          aggregation_norm=EdgeScaling.SYMMETRIC)
         store = ParamStore()
-        x = init_embeddings(g)
-        init_params(g, x, cfg, store, seed=18)
+        init_params(g, cfg, store, seed=18)
 
         def run():
             t = Tape(store, train=True, rng=np.random.default_rng(99))
-            return t.value(forward(t, g, x, cfg)).copy()
+            return t.value(forward(t, g, cfg)).copy()
 
         assert np.array_equal(run(), run())
 
@@ -299,12 +342,11 @@ class TestForward:
                          aggregation_norm=EdgeScaling.SYMMETRIC,
                          residual_mode="skip")
         store = ParamStore()
-        x = init_embeddings(g)
-        init_params(g, x, cfg, store, seed=20)
+        init_params(g, cfg, store, seed=20)
         t = Tape(store)
-        h_hat = forward(t, g, x, cfg)
+        h_hat = forward(t, g, cfg)
         t2 = Tape(store)
-        hc, hf = input_transform(t2, x)
+        hc, hf = input_transform(t2, g)
         states = []
         for layer in (1, 2):
             hc, hf = conv_layer(t2, g.operators(SYM), hc, hf, layer, cfg,
@@ -323,8 +365,7 @@ class TestForward:
                          aggregation_norm=EdgeScaling.POST_NORM,
                          residual_mode="initial")
         store = ParamStore()
-        x = init_embeddings(g)
-        init_params(g, x, cfg, store, seed=25)
+        init_params(g, cfg, store, seed=25)
         rng = np.random.default_rng(26)
         for name in store.names():
             store.entries[name].value[:] = rng.uniform(
@@ -336,13 +377,13 @@ class TestForward:
             var = z.var(axis=1, keepdims=True)
             return (z - mu) / np.sqrt(var + 1e-5) * gamma + beta
 
-        h0_cell = relu(x.cell_embed @ v("in.cell.w") + v("in.cell.b"))
+        h0_cell = relu(np.zeros((4, 1)) @ v("in.cell.w") + v("in.cell.b"))
         h0_feat = relu(v("in.feat.w") + v("in.feat.b"))
         m_vu = group_norm(relu(dense @ h0_feat @ v("l1.vu.w") + v("l1.vu.b")),
                           v("l1.vu.gn.g"), v("l1.vu.gn.b"))
         expected = v("readout.w")[0] * (h0_cell + m_vu)
         t = Tape(store)
-        assert np.allclose(t.value(forward(t, g, x, cfg)), expected,
+        assert np.allclose(t.value(forward(t, g, cfg)), expected,
                            atol=1e-12)
 
     def test_permutation_equivariance(self):
@@ -355,10 +396,9 @@ class TestForward:
         def embed(d):
             g = toy_graph(d)
             store = ParamStore()
-            x = init_embeddings(g)
-            init_params(g, x, cfg, store, seed=22)
+            init_params(g, cfg, store, seed=22)
             t = Tape(store)
-            return t.value(forward(t, g, x, cfg))
+            return t.value(forward(t, g, cfg))
 
         assert np.allclose(embed(dense)[perm], embed(dense[perm]), atol=1e-12)
 
@@ -370,10 +410,9 @@ class TestForward:
                          aggregation_norm=EdgeScaling.SYMMETRIC,
                          residual_mode="initial")
         store = ParamStore()
-        x = init_embeddings(g)
-        init_params(g, x, cfg, store, seed=24)
+        init_params(g, cfg, store, seed=24)
         t = Tape(store)
-        out = t.value(forward(t, g, x, cfg))
+        out = t.value(forward(t, g, cfg))
         assert np.all(np.isfinite(out))
         assert np.abs(out).max() < 1e3
 
@@ -403,7 +442,7 @@ def reference_affine(tape, x, w, b, relu=False):
     return tape.relu(out) if relu else out
 
 
-def reference_forward(tape, g, x, cfg):
+def reference_forward(tape, g, cfg):
     """forward() with every dense layer as the three-node chain and the
     last layer's feature update recorded, though nothing reads it."""
     operators = g.operators(cfg.aggregation_norm)
@@ -421,14 +460,12 @@ def reference_forward(tape, g, x, cfg):
                                   n_groups=cfg.n_groups)
         return msg
 
-    cell = reference_affine(tape, tape.constant(x.cell_embed),
+    cell = reference_affine(tape, tape.constant(np.zeros((g.n_cells, 1))),
                             tape.param("in.cell.w"), tape.param("in.cell.b"),
                             relu=True)
     feat_w = tape.param("in.feat.w")
-    if x.feature_embed is not None:
-        feat_in = (tape.param(x.feature_param) if x.feature_param
-                   else tape.constant(x.feature_embed))
-        feat_w = tape.matmul(feat_in, feat_w)
+    if g.n_features > ONE_HOT_MAX_FEATURES:
+        feat_w = tape.matmul(tape.param("feature_table"), feat_w)
     feat = tape.relu(tape.add(feat_w, tape.param("in.feat.b")))
     h0_cell, h0_feat = cell, feat
     if rate > 0:
@@ -490,11 +527,13 @@ def tape_bytes(tape) -> int:
     return sum(arrays.values())
 
 
-def pathway_network(pathways=True, features="one_hot", **conv):
-    """A 14 x 9 graph, gene sets optional, with every parameter drawn away
-    from zero and the cells' input random."""
+def pathway_network(pathways=True, n_features=9, **conv):
+    """A 14 x n_features graph, gene sets optional, with every parameter
+    drawn away from zero; past ONE_HOT_MAX_FEATURES features the feature
+    input is the learned table."""
     rng = np.random.default_rng(40)
-    dense = rng.uniform(0.2, 2.0, (14, 9)) * (rng.random((14, 9)) < 0.5)
+    dense = rng.uniform(0.2, 2.0, (14, n_features)) * (
+        rng.random((14, n_features)) < 0.5)
     g = toy_graph(dense)
     if pathways:
         g = augment_with_pathways(g, GeneSetCollection(
@@ -502,13 +541,7 @@ def pathway_network(pathways=True, features="one_hot", **conv):
     cfg = ConvConfig(**{"n_layers": 3, "hidden_dim": 6, "n_groups": 2,
                         "dropout_rate": 0.3, **conv})
     store = ParamStore()
-    x = NodeEmbeddings(rng.standard_normal((14, 1)), None)
-    if features != "one_hot":
-        x.feature_embed = rng.standard_normal((9, 4))
-        if features == "table":
-            x.feature_param = "feature_table"
-            store.register("feature_table", x.feature_embed)
-    init_params(g, x, cfg, store, seed=41)
+    init_params(g, cfg, store, seed=41)
     store.register("head.w", rng.standard_normal((6, 2)))
     store.register("head.b", rng.standard_normal((1, 2)))
     for name in store.names():
@@ -517,26 +550,26 @@ def pathway_network(pathways=True, features="one_hot", **conv):
             rng.random(value.shape) < 0.5, -1.0, 1.0)
         if name.endswith("alpha"):
             value[:] = np.abs(value)
-    return g, x, cfg, store, rng.standard_normal((14, 2))
+    return g, cfg, store, rng.standard_normal((14, 2))
 
 
 class TestAgainstReference:
     @pytest.mark.parametrize("setup", [
         {},
         {"pathways": False},
-        {"alpha": "learnable", "features": "table"},
-        {"residual_mode": "skip", "features": "embed"},
+        {"alpha": "learnable", "n_features": ONE_HOT_MAX_FEATURES + 1},
+        {"residual_mode": "skip", "n_features": ONE_HOT_MAX_FEATURES + 1},
         {"residual_mode": "skip", "alpha": "learnable", "pathways": False},
         {"aggregation_norm": SYM, "dropout_rate": 0.0, "n_layers": 1},
     ])
     def test_same_output_loss_gradients_and_draws(self, setup):
-        g, x, cfg, store, target = pathway_network(**setup)
+        g, cfg, store, target = pathway_network(**setup)
         runs = []
         for net, head in ((reference_forward, reference_affine),
                           (forward, Tape.affine)):
             rng = RecordingRng(42)
             t = Tape(store, rng=rng)
-            h_hat = net(t, g, x, cfg)
+            h_hat = net(t, g, cfg)
             loss = t.rmse(head(t, h_hat, t.param("head.w"),
                                t.param("head.b")), target)
             t.backward(loss)
@@ -555,7 +588,7 @@ class TestAgainstReference:
 
     @pytest.mark.parametrize("pathways", [True, False])
     def test_spmm_count(self, pathways, monkeypatch):
-        g, x, cfg, store, _ = pathway_network(pathways=pathways)
+        g, cfg, store, _ = pathway_network(pathways=pathways)
         calls = []
         spmm_const = Tape.spmm_const
 
@@ -564,7 +597,7 @@ class TestAgainstReference:
             return spmm_const(tape, s, h, st)
 
         monkeypatch.setattr(Tape, "spmm_const", counting)
-        forward(Tape(store), g, x, cfg)
+        forward(Tape(store), g, cfg)
         n = cfg.n_layers
         assert calls.count(False) == 2 * n - 1
         assert calls.count(True) == (n - 1 if pathways else 0)
@@ -604,20 +637,20 @@ class TestAgainstReference:
 
 class TestTapeContracts:
     @staticmethod
-    def predict(tape, g, x, cfg):
-        h_hat = forward(tape, g, x, cfg)
+    def predict(tape, g, cfg):
+        h_hat = forward(tape, g, cfg)
         return tape.affine(h_hat, tape.param("head.w"), tape.param("head.b"))
 
     def test_eval_tape_records_values_only(self):
-        g, x, cfg, store, _ = pathway_network()
+        g, cfg, store, _ = pathway_network()
         tape = Tape(store, train=False)
-        out = self.predict(tape, g, x, cfg)
+        out = self.predict(tape, g, cfg)
         assert all(node.vjp is None for node in tape.nodes)
         with pytest.raises(RuntimeError, match="eval tape"):
             tape.backward(tape.rmse(out, np.zeros((14, 2))))
 
     def test_eval_tape_keeps_no_array_once_handles_drop(self, monkeypatch):
-        g, x, cfg, store, _ = pathway_network()
+        g, cfg, store, _ = pathway_network()
         alive = []
         derived = Tape._derived
 
@@ -628,7 +661,7 @@ class TestTapeContracts:
 
         monkeypatch.setattr(Tape, "_derived", recording)
         tape = Tape(store, train=False)
-        out = self.predict(tape, g, x, cfg)
+        out = self.predict(tape, g, cfg)
         assert alive[-1]() is out.value
         del out
         assert len(alive) == len(tape.nodes) - sum(
@@ -638,14 +671,14 @@ class TestTapeContracts:
         assert tape_bytes(tape) == 0
 
     def test_gradients_need_no_handle_but_the_loss(self):
-        g, x, cfg, store, target = pathway_network()
+        g, cfg, store, target = pathway_network()
         grads = []
         for net, head in ((reference_forward, reference_affine),
                           (forward, Tape.affine)):
             t = Tape(store, rng=np.random.default_rng(42))
 
             def loss_only():  # every other handle dies on return
-                h_hat = net(t, g, x, cfg)
+                h_hat = net(t, g, cfg)
                 return t.rmse(head(t, h_hat, t.param("head.w"),
                                    t.param("head.b")), target)
 
@@ -656,7 +689,7 @@ class TestTapeContracts:
             assert np.array_equal(grads[0][name], grads[1][name]), name
 
     def test_training_epoch_builds_no_transpose(self, monkeypatch):
-        g, x, cfg, store, target = pathway_network()
+        g, cfg, store, target = pathway_network()
         g.operators(cfg.aggregation_norm)
         calls = []
         transpose = SparseMatrix.transpose
@@ -667,6 +700,6 @@ class TestTapeContracts:
 
         monkeypatch.setattr(SparseMatrix, "transpose", counting)
         tape = Tape(store, rng=np.random.default_rng(0))
-        tape.backward(tape.rmse(self.predict(tape, g, x, cfg), target))
+        tape.backward(tape.rmse(self.predict(tape, g, cfg), target))
         assert calls == []
         assert any(store.grad(name).any() for name in store.names())

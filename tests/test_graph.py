@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from cellgraph.autodiff import ParamStore
-from cellgraph.graph import (CellFeatureGraph, EdgeScaling, GeneSetCollection,
-                             augment_with_pathways, build_bipartite,
-                             init_embeddings)
+from cellgraph.graph import (EdgeScaling, GeneSetCollection,
+                             augment_with_pathways, build_bipartite)
 from cellgraph.linalg import SparseMatrix
 
 
@@ -156,42 +154,3 @@ class TestScaledWeights:
         assert np.array_equal(raw[0].values, g.matrix.values)
         assert np.array_equal(scaled[0].values,
                               g.scaled_weights(EdgeScaling.MIN_MAX)[0])
-
-
-class TestInitEmbeddings:
-    def test_one_hot_identity(self):
-        # the identity is implicit: the input layer reads its weight rows
-        g = graph_from(np.ones((2, 3)))
-        x = init_embeddings(g)
-        assert x.feature_embed is None and x.feature_param is None
-
-    def test_cell_embed_zeros_column(self):
-        g = graph_from(np.ones((5, 2)))
-        x = init_embeddings(g)
-        assert x.cell_embed.shape == (5, 1)
-        assert np.all(x.cell_embed == 0)
-
-    def test_learned_table_bounds_and_determinism(self):
-        g = graph_from(np.ones((4, 2001)))
-        store = ParamStore()
-        x = init_embeddings(g, table_dim=16, store=store, seed=5)
-        assert x.feature_embed.shape == (2001, 16)
-        bound = 1 / np.sqrt(16)
-        assert np.all(np.abs(x.feature_embed) <= bound)
-        assert x.feature_param == "feature_table"
-        assert np.array_equal(store.value("feature_table"), x.feature_embed)
-        again = init_embeddings(g, table_dim=16, seed=5)
-        assert np.array_equal(again.feature_embed, x.feature_embed)
-
-    def test_learned_table_dim_zero_rejected(self):
-        g = graph_from(np.ones((2, 2001)))
-        with pytest.raises(ValueError):
-            init_embeddings(g, table_dim=0)
-
-    def test_auto_switches_on_feature_count(self):
-        small = init_embeddings(graph_from(np.ones((2, 3))), table_dim=8)
-        assert small.feature_embed is None
-        big = CellFeatureGraph(
-            SparseMatrix.from_coo(2, 2001, [0], [0], [1.0]))
-        learned = init_embeddings(big, table_dim=8)
-        assert learned.feature_embed.shape == (2001, 8)

@@ -569,6 +569,25 @@ class TestCli:
         assert f"{emb} has 120 rows" in err
         assert not (tmp_path / "eval" / "metrics.kv").exists()
 
+    @pytest.mark.parametrize("kept", [3, None])
+    def test_modality_2_feature_names_must_match_width(self, synth_dir,
+                                                       tmp_path, capsys,
+                                                       kept):
+        # a features2.txt cut to 3 names, or deleted, fails at load time
+        data = tmp_path / "data"
+        save_dataset(load_dataset(synth_dir), data)
+        names = data / "features2.txt"
+        if kept is None:
+            names.unlink()
+        else:
+            lines = names.read_text().splitlines(keepends=True)
+            names.write_text("".join(lines[:kept]))
+        assert run_cli("match", "--data", str(data),
+                       "--out", str(tmp_path / "o")) == 2
+        assert (f"feature_names_2 has {kept or 0} names, expected one per "
+                "modality_2 column (24)") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_gradcheck_exit_zero(self):
         assert run_cli("gradcheck", "--seeds", "2") == 0
 
@@ -672,3 +691,10 @@ class TestTracerTargets:
         missing = {f"{module}.{name}" for module, name in targets
                    if not self.resolves(module, name)}
         assert missing <= self.KNOWN_ABSENT
+
+
+@pytest.mark.parametrize("module", ["cellgraph", "cellgraph.tasks"])
+def test_every_exported_name_resolves(module):
+    namespace = {}
+    exec(f"from {module} import *", namespace)
+    assert set(importlib.import_module(module).__all__) <= set(namespace)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cellgraph.autodiff import ParamStore, Tape, finite_difference_check
-from cellgraph.convnet import ConvConfig
+from cellgraph.convnet import ONE_HOT_MAX_FEATURES, ConvConfig
 from cellgraph.data import generate_synthetic
 from cellgraph.gradcheck import GRADCHECK_TOL
 from cellgraph.graph import EdgeScaling, build_bipartite
@@ -16,7 +16,7 @@ from cellgraph.tasks import (EmbedConfig, MatcherConfig, MatchOutput,
                              score_probabilities, split_cells,
                              train_joint_embedding, train_matcher,
                              train_prediction)
-from cellgraph.tasks import matching
+from cellgraph.tasks import common, matching
 from cellgraph.tasks.embedding import EMBED_LR
 from cellgraph.metrics import nmi_cluster_label
 
@@ -429,6 +429,31 @@ class TestTrainPrediction:
         assert "alpha" in model.store
         assert np.isfinite(model.validation_rmse)
 
+    def test_learned_feature_table_trains(self, monkeypatch):
+        # past ONE_HOT_MAX_FEATURES the features start from a learned table,
+        # which the loss reaches through the first layer's messages
+        rng = np.random.default_rng(13)
+        k = ONE_HOT_MAX_FEATURES + 1
+        dense = rng.uniform(0.1, 1.0, (60, k)) * (rng.random((60, k)) < 0.05)
+        g = build_bipartite(SparseMatrix.from_dense(dense))
+        grads = []
+        adam_step = common.adam_step
+
+        def recording(store, **kwargs):
+            grads.append(np.abs(store.grad("feature_table")).max())
+            return adam_step(store, **kwargs)
+
+        monkeypatch.setattr(common, "adam_step", recording)
+        model = train_prediction(g, rng.standard_normal((60, 2)),
+                                 ConvConfig(n_layers=2, hidden_dim=8),
+                                 TrainProtocol(max_epochs=2, seed=4))
+        table = model.store.value("feature_table")
+        assert table.shape == (k, 8)
+        assert len(grads) == 2 and min(grads) > 0
+        bound = 1 / np.sqrt(8)
+        first = np.random.default_rng(4).uniform(-bound, bound, (k, 8))
+        assert not np.allclose(table, first)
+
 
 class TestJointEmbeddingLoss:
     def _store(self, d, out_dim, seed=0):
@@ -510,7 +535,8 @@ class TestTrainJointEmbedding:
         protocol = TrainProtocol(patience_epochs=20, max_epochs=60, seed=0)
         model = train_joint_embedding(ds.modality_1, ds.modality_2_aligned(),
                                       ds.cell_type_labels, protocol, cfg)
-        assert model.embed().cell_type_dims == 3
+        assert model.n_types == 3
+        assert model.embed().shape == (150, 24)
 
     def test_deterministic_per_seed(self):
         ds = self._dataset()
@@ -523,7 +549,7 @@ class TestTrainJointEmbedding:
             model = train_joint_embedding(
                 ds.modality_1, ds.modality_2_aligned(),
                 ds.cell_type_labels, protocol, cfg)
-            return model.embed().embedding
+            return model.embed()
 
         assert np.array_equal(run(), run())
 
