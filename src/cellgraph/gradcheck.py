@@ -118,6 +118,18 @@ def _op_checks(seed: int) -> dict[str, float]:
               {"x": rng.standard_normal((n, d)),
                "w": rng.standard_normal((d, d)),
                "b": rng.standard_normal((1, d))})
+    # n - 1 entries in fill * n: too sparse for spmm's dense copy, so the
+    # product and its transpose product in the backward both take CSR
+    fill = SparseMatrix._DENSE_MATMUL_FILL
+    flat = rng.choice(fill * n, n - 1, replace=False)
+    near_empty = SparseMatrix.from_coo(fill, n, flat // n, flat % n,
+                                       rng.standard_normal(n - 1))
+    near_empty_t = near_empty.transpose()
+    tall_target = rng.standard_normal((fill, d))
+    check("spmm_const_csr",
+          lambda t: t.mse(t.spmm_const(near_empty, t.param("x"),
+                                       near_empty_t), tall_target),
+          {"x": rng.standard_normal((n, d))})
     return results
 
 

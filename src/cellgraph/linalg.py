@@ -127,12 +127,17 @@ class SparseMatrix:
         out[self.row_indices(), self.col_indices] = self.values
         return out
 
-    # matrices this small are mostly faster through BLAS than through the
-    # CSR path; the two round differently, so moving this cutoff moves bits
+    # an operator of at most _DENSE_MATMUL_LIMIT entries, of which at least
+    # one in _DENSE_MATMUL_FILL is stored, is faster through BLAS on a dense
+    # copy than through the CSR path; the two round differently, so moving
+    # either cutoff moves bits
     _DENSE_MATMUL_LIMIT = 1 << 22
+    _DENSE_MATMUL_FILL = 64
 
     def _dense_for_matmul(self) -> "np.ndarray | None":
-        if self.n_rows * self.n_cols > self._DENSE_MATMUL_LIMIT:
+        size = self.n_rows * self.n_cols
+        if (size > self._DENSE_MATMUL_LIMIT
+                or self._DENSE_MATMUL_FILL * self.nnz < size):
             return None
         if self._dense_cache is None:
             object.__setattr__(self, "_dense_cache", self.to_dense())
@@ -168,8 +173,9 @@ def spmm(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
     so its temporaries stay near that many rows of b. Each row's sum runs
     over the same entries in the same order wherever the chunk boundaries
     fall, so the product is bit-identical to one pass over all of a.
-    Operators small enough for `SparseMatrix._dense_for_matmul` go through
-    a densified copy and BLAS instead.
+    An operator that is both small (at most 2**22 entries) and dense (at
+    least 1 in 64 entries stored) goes through a cached dense copy and
+    BLAS instead; see `SparseMatrix._dense_for_matmul`.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2 or a.n_cols != b.shape[0]:
@@ -297,9 +303,10 @@ def truncated_svd(m: SparseMatrix, rank: int, seed: int):
     """Top-`rank` left singular vectors and singular values, seeded.
 
     Randomized range finder (oversampling 8, power iterations with QR
-    re-orthonormalization). Keeps iterating past the 2 baseline power steps
-    until the singular values stabilize, so desk-scale results match a dense
-    SVD to ~1e-9.
+    re-orthonormalization). Past the 2 baseline power steps it stops once
+    no singular value moves by 1e-9 or more relative to the step before,
+    or after 40 steps. That is a stopping rule, not an accuracy bound: on a
+    slowly decaying spectrum the result can stay well off a dense SVD.
 
     Returns (U, s) with U of shape (n_rows, rank), s non-increasing.
     """

@@ -170,6 +170,61 @@ class TestSpmmCsr:
                 assert np.array_equal(spmm(a, b), expected)
 
 
+def random_pattern(rng, n_rows, n_cols, nnz):
+    """n_rows x n_cols CSR matrix with nnz distinct entries drawn at random."""
+    flat = rng.choice(n_rows * n_cols, nnz, replace=False)
+    return SparseMatrix.from_coo(n_rows, n_cols, flat // n_cols,
+                                 flat % n_cols, rng.standard_normal(nnz))
+
+
+class TestDenseCutoff:
+    """A small operator multiplies a cached dense copy only when at least
+    one in _DENSE_MATMUL_FILL of its entries is stored; a sparser one takes
+    the CSR branch and never builds the copy."""
+
+    def test_near_empty_operator_takes_csr_and_caches_nothing(self):
+        # the shape and fill of a pathway channel's feature-feature operator
+        rng = np.random.default_rng(20)
+        a = random_pattern(rng, 1500, 1500, 1674)
+        assert a.n_rows * a.n_cols <= SparseMatrix._DENSE_MATMUL_LIMIT
+        assert a._dense_for_matmul() is None
+        b = rng.standard_normal((1500, 48))
+        out = spmm(a, b)
+        assert a._dense_cache is None
+        assert np.array_equal(out, one_shot_spmm(a, b))
+
+    def test_dense_enough_operator_multiplies_its_cached_copy(self):
+        rng = np.random.default_rng(21)
+        a = random_pattern(rng, 1500, 45, 1350)  # 2 % stored
+        b = rng.standard_normal((45, 40))
+        out = spmm(a, b)
+        cached = a._dense_cache
+        assert cached is not None and a._dense_for_matmul() is cached
+        assert np.array_equal(out, a.to_dense() @ b)
+        assert np.array_equal(spmm(a, b), out)
+
+    @pytest.mark.parametrize("shape", [(64, 64), (128, 45), (1500, 1500)])
+    def test_boundary_at_one_in_64_stored(self, shape):
+        n_rows, n_cols = shape
+        fill = SparseMatrix._DENSE_MATMUL_FILL
+        at_cut = -(-n_rows * n_cols // fill)  # fewest entries that are dense
+        rng = np.random.default_rng(22)
+        dense_enough = random_pattern(rng, n_rows, n_cols, at_cut)
+        below = random_pattern(rng, n_rows, n_cols, at_cut - 1)
+        assert fill * dense_enough.nnz >= n_rows * n_cols
+        assert fill * below.nnz < n_rows * n_cols
+        assert dense_enough._dense_for_matmul() is not None
+        assert below._dense_for_matmul() is None
+        b = rng.standard_normal((n_cols, 3))
+        assert np.array_equal(spmm(below, b), one_shot_spmm(below, b))
+
+    def test_zero_nnz_gives_zeros_of_the_right_shape(self):
+        a = SparseMatrix.from_coo(40, 30, [], [], [])
+        out = spmm(a, np.ones((30, 3)))
+        assert out.shape == (40, 3) and not out.any()
+        assert a._dense_cache is None
+
+
 class TestSymmetricEdgeNormalize:
     def test_single_edge(self):
         w = symmetric_edge_normalize([0], [1], [4.0], 2)

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cellgraph.autodiff import ParamStore, Tape, finite_difference_check
-from cellgraph.convnet import ONE_HOT_MAX_FEATURES, ConvConfig
+from cellgraph.convnet import ONE_HOT_MAX_FEATURES, ConvConfig, forward
 from cellgraph.data import generate_synthetic
 from cellgraph.gradcheck import GRADCHECK_TOL
-from cellgraph.graph import EdgeScaling, build_bipartite
+from cellgraph.graph import (EdgeScaling, GeneSetCollection,
+                             augment_with_pathways, build_bipartite)
 from cellgraph.linalg import SparseMatrix, l2_normalize_rows
 from cellgraph.tasks import (EmbedConfig, MatcherConfig, MatchOutput,
                              TrainProtocol, joint_embedding_loss,
@@ -415,8 +418,6 @@ class TestTrainPrediction:
                              TrainProtocol())
 
     def test_pathway_channel_with_learnable_alpha_trains(self):
-        from cellgraph.graph import GeneSetCollection
-
         m, target = self._linear_dataset(n=60)
         g = build_bipartite(m)
         sets = GeneSetCollection([("s1", [0, 1, 2]), ("s2", [2, 3])])
@@ -453,6 +454,34 @@ class TestTrainPrediction:
         bound = 1 / np.sqrt(8)
         first = np.random.default_rng(4).uniform(-bound, bound, (k, 8))
         assert not np.allclose(table, first)
+
+    def test_near_empty_pathway_operator_builds_no_dense_copy(self):
+        # 1500 features in 40 gene sets of 8: at most 2240 of the
+        # feature-feature operator's 2.25 M entries are stored, so spmm
+        # takes CSR for it and never builds its k x k dense copy
+        rng = np.random.default_rng(14)
+        n, k = 60, 1500
+        dense = rng.uniform(0.1, 1.0, (n, k)) * (rng.random((n, k)) < 0.2)
+        m = SparseMatrix.from_dense(dense)
+        sets = GeneSetCollection(
+            [(f"s{i}", rng.choice(k, 8, replace=False).tolist())
+             for i in range(40)])
+        cfg = ConvConfig(n_layers=2, hidden_dim=8)
+        model = train_prediction(build_bipartite(m),
+                                 rng.standard_normal((n, 2)), cfg,
+                                 TrainProtocol(max_epochs=2, seed=0),
+                                 gene_sets=sets)
+        pathway = model.graph.operators(EdgeScaling.POST_NORM)[2]
+        assert pathway.nnz > 0 and pathway._dense_cache is None
+        # an eval forward on fresh operators stays below the copy's size
+        fresh = augment_with_pathways(build_bipartite(m), sets)
+        tracemalloc.start()
+        try:
+            forward(Tape(model.store, train=False), fresh, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k * k * 8
 
 
 class TestJointEmbeddingLoss:
