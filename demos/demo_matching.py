@@ -38,10 +38,15 @@ print(f"  competition score (one-hot assignment) "
 print(f"  competition score (softmax probabilities) "
       f"{scores['score_softmax']:.2f}  (uniform scores 1.0)")
 
-# inference keeps one probability block per shared batch, and each block's
-# row softmax is stochastic
-row_sums = np.concatenate([row_prob.sum(axis=1)
-                           for _, _, row_prob, _ in output.blocks])
+# inference keeps each shared batch's softmax normalizers, not its
+# probabilities; a batch's row softmax rebuilt from them is stochastic
+kept = sum(a.size for b in output.blocks for a in b)
+print(f"  kept {kept} normalizer and index entries for "
+      f"{sum(len(b.rows) * len(b.cols) for b in output.blocks)} scores")
+row_sums = np.concatenate([
+    np.exp(output.scale * output.u1[b.rows] @ output.u2[b.cols].T
+           - b.row_max[:, None]).sum(axis=1) / b.row_sum
+    for b in output.blocks])
 print(f"  row-probability sums: min {row_sums.min():.6f}, "
       f"max {row_sums.max():.6f}")
 

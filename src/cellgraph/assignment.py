@@ -133,7 +133,9 @@ def _lexicographic_refine(cost, u, v, row_col, n_real_left):
     """
     s = cost.shape[0]
     scale = max(1.0, float(np.abs(cost).max()))
-    tight = (cost - u[:, None] - v[None, :]) <= 1e-9 * scale
+    reduced = cost - u[:, None]
+    reduced -= v[None, :]
+    tight = reduced <= 1e-9 * scale
     col_row = np.full(s, -1, dtype=np.int64)
     col_row[row_col] = np.arange(s)
     reached_by = np.empty(s, dtype=np.int64)
@@ -193,7 +195,7 @@ def solve(problem: AssignmentProblem) -> AssignmentResult:
     # perfect matching holds exactly |n - m| padding cells, so their cost
     # does not move the optima; at 0 a padding row's search ends at once
     cost = np.zeros((s, s))
-    cost[:n, :m] = profits.max() - profits
+    np.subtract(profits.max(), profits, out=cost[:n, :m])
     if problem.allowed is not None:
         cost[:n, :m][~problem.allowed] = big
     row_col, u, v = _jv_square(cost)

@@ -4,6 +4,7 @@ batch-partitioned assignment inference."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,9 @@ LOG_SCALE_BOUNDS = (0.0, float(np.log(100.0)))
 # the match term scores the pairs in random blocks of at most this many, so
 # training holds O(n * MATCH_BLOCK) scores instead of n x n
 MATCH_BLOCK = 128
+# inference takes a score block's softmax normalizers over this many rows
+# at a time
+SOFTMAX_CHUNK = 256
 
 
 def _check_bijection(truth, n: int) -> np.ndarray:
@@ -146,29 +150,91 @@ def matching_losses(tape: Tape, h1: Var, h2: Var, truth,
     return total, match, aux
 
 
+def softmax_normalizers(score: np.ndarray, scale: float = 1.0):
+    """(row max, row sum of exps, column max, column sum of exps) of the
+    row and the column softmax of score times scale.
+
+    They are taken over SOFTMAX_CHUNK rows at a time, so the temporaries
+    hold SOFTMAX_CHUNK rows, not the whole table. Each row sum adds its row
+    as a full-table row sum does, and the column sums add row after row, as
+    a full-table column sum does, so all four are bit-equal to the
+    full-table reductions.
+    """
+    score = np.asarray(score, dtype=np.float64)
+    n, m = score.shape
+    chunks = [slice(a, a + SOFTMAX_CHUNK)
+              for a in range(0, n, SOFTMAX_CHUNK)]
+    row_max, row_sum = np.empty(n), np.empty(n)
+    col_max, col_sum = np.full(m, -np.inf), np.zeros(m)
+    for c in chunks:
+        s = scale * score[c]
+        row_max[c] = s.max(axis=1)
+        np.maximum(col_max, s.max(axis=0), out=col_max)
+    for c in chunks:
+        s = scale * score[c]
+        row_sum[c] = np.exp(s - row_max[c, None]).sum(axis=1)
+        np.exp(np.subtract(s, col_max, out=s), out=s)
+        for row in s:
+            col_sum += row
+    if m == 1:
+        # numpy sums a table's only column pairwise, as a vector
+        col_sum[0] = np.exp(scale * score[:, 0] - col_max[0]).sum()
+    return row_max, row_sum, col_max, col_sum
+
+
+def _softmax(s, row_max, row_sum, col_max, col_sum):
+    """(row, column) softmax probabilities of scaled scores s from the
+    normalizers of their rows and columns."""
+    return np.exp(s - row_max) / row_sum, np.exp(s - col_max) / col_sum
+
+
 def score_probabilities(score: np.ndarray, scale: float = 1.0):
     """(row softmax, column softmax) of a dense score matrix times scale."""
+    row_max, row_sum, col_max, col_sum = softmax_normalizers(score, scale)
     s = scale * np.asarray(score, dtype=np.float64)
-    se = np.exp(s - s.max(axis=1, keepdims=True))
-    row = se / se.sum(axis=1, keepdims=True)
-    ce = np.exp(s - s.max(axis=0, keepdims=True))
-    col = ce / ce.sum(axis=0, keepdims=True)
-    return row, col
+    return _softmax(s, row_max[:, None], row_sum[:, None], col_max, col_sum)
+
+
+class MatchBlock(NamedTuple):
+    """One batch that both sides share: its ascending row indices in each
+    modality, and the softmax normalizers of its rows and its columns."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    row_max: np.ndarray
+    row_sum: np.ndarray
+    col_max: np.ndarray
+    col_sum: np.ndarray
 
 
 @dataclass
 class MatchOutput:
-    """The assignment and the probability blocks of one inference run.
+    """The assignment of one inference run, and what scoring it needs.
 
-    blocks holds one (rows, cols, row_prob, col_prob) per batch that both
-    sides share: rows and cols are the batch's ascending row indices in
-    each modality, and the probabilities are the row and the column
-    softmaxes of the block's cosine scores times the logit scale. Rows in
-    no shared batch lie in no block and no pair.
+    blocks holds one MatchBlock per batch that both sides share; its
+    normalizers are those of the row and the column softmax of the batch's
+    cosine scores times scale, the logit scale. u1 and u2 are the
+    row-normalized embeddings, from which a pair's cosine score is
+    recomputed. Nothing here grows with the square of a batch. Rows in no
+    shared batch lie in no block and no pair.
     """
 
     assignment: list[tuple[int, int]]
-    blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    blocks: list[MatchBlock]
+    u1: np.ndarray
+    u2: np.ndarray
+    scale: float
+
+
+def _match_batch(u1, u2, idx1, idx2, percentile: float, scale: float):
+    """The batch's MatchBlock and its assigned pairs; its cosine block
+    lives only inside this call."""
+    block = u1[idx1] @ u2[idx2].T
+    normalizers = softmax_normalizers(block, scale)
+    keep = percentile_filter(block, percentile)
+    result = solve(AssignmentProblem(block, keep))
+    pairs = [(int(idx1[i]), int(idx2[j])) for i, j in result.pairs]
+    return MatchBlock(idx1, idx2, *normalizers), pairs
 
 
 def match_inference(h1, h2, batch_labels_1, batch_labels_2,
@@ -176,11 +242,11 @@ def match_inference(h1, h2, batch_labels_1, batch_labels_2,
                     scale: float = 1.0) -> MatchOutput:
     """Batch-partitioned scoring, percentile filtering and assignment.
 
-    Scores and softmax probabilities are computed within each shared batch,
-    the probabilities over the cosine scores times scale (the trained
-    model's logit scale); the assignment solves a maximum-weight rectangular
-    matching over the percentile-filtered cosine scores of that batch, which
-    no positive scale changes.
+    Scores are computed within each shared batch, and the softmax
+    normalizers over the cosine scores times scale (the trained model's
+    logit scale); the assignment solves a maximum-weight rectangular
+    matching over the percentile-filtered cosine scores of that batch,
+    which no positive scale changes.
     """
     h1 = np.asarray(h1, dtype=np.float64)
     h2 = np.asarray(h2, dtype=np.float64)
@@ -188,34 +254,38 @@ def match_inference(h1, h2, batch_labels_1, batch_labels_2,
     b2 = np.asarray(batch_labels_2)
     if len(b1) != h1.shape[0] or len(b2) != h2.shape[0]:
         raise ValueError("batch labels must align with embedding rows")
+    u1, u2 = l2_normalize_rows(h1), l2_normalize_rows(h2)
     pairs: list[tuple[int, int]] = []
     blocks = []
     for batch in sorted(set(b1.tolist()) & set(b2.tolist())):
-        idx1 = np.flatnonzero(b1 == batch)
-        idx2 = np.flatnonzero(b2 == batch)
-        block = l2_normalize_rows(h1[idx1]) @ l2_normalize_rows(h2[idx2]).T
-        blocks.append((idx1, idx2, *score_probabilities(block, scale)))
-        keep = percentile_filter(block, percentile)
-        result = solve(AssignmentProblem(block, keep))
-        pairs.extend((int(idx1[i]), int(idx2[j])) for i, j in result.pairs)
-    return MatchOutput(sorted(pairs), blocks)
+        block, batch_pairs = _match_batch(
+            u1, u2, np.flatnonzero(b1 == batch), np.flatnonzero(b2 == batch),
+            percentile, scale)
+        blocks.append(block)
+        pairs.extend(batch_pairs)
+    return MatchOutput(sorted(pairs), blocks, u1, u2, scale)
 
 
 def match_scores(output: MatchOutput, truth) -> dict[str, float]:
     """Symmetric softmax score, one-hot assignment score, top-1 accuracy.
 
     The softmax score averages the row and the column probability mass on
-    the true pairs; a true pair outside every block scores 0.
+    the true pairs; a true pair outside every block scores 0. Each true
+    pair's score is recomputed as a row dot product, so it may differ from
+    the block's matrix-product entry in its last bits.
     """
     t = np.asarray(truth, dtype=np.int64)
     # each row's true-partner probability, in row order, per softmax
     on_truth = np.zeros((2, len(t)))
-    for rows, cols, row_prob, col_prob in output.blocks:
-        partner = t[rows]
-        at = np.minimum(np.searchsorted(cols, partner), len(cols) - 1)
-        hit = cols[at] == partner
-        on_truth[0, rows[hit]] = row_prob[hit, at[hit]]
-        on_truth[1, rows[hit]] = col_prob[hit, at[hit]]
+    for b in output.blocks:
+        partner = t[b.rows]
+        at = np.minimum(np.searchsorted(b.cols, partner), len(b.cols) - 1)
+        hit = b.cols[at] == partner
+        rows, at = b.rows[hit], at[hit]
+        s = output.scale * np.einsum("ij,ij->i", output.u1[rows],
+                                     output.u2[b.cols[at]])
+        on_truth[:, rows] = _softmax(s, b.row_max[hit], b.row_sum[hit],
+                                     b.col_max[at], b.col_sum[at])
     correct = sum(1 for i, j in output.assignment if t[i] == j)
     return {
         "score_softmax": float(0.5 * (on_truth[0].sum() + on_truth[1].sum())),
@@ -328,8 +398,10 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
         # mass on true pairs (the task metric) stops improving
         h1, h2 = _embed_pair(store, cfg.conv, val1, val2)
         block = l2_normalize_rows(h1) @ l2_normalize_rows(h2).T
-        rp, cp = score_probabilities(block, logit_scale(store))
-        mass = 0.5 * (np.trace(rp) + np.trace(cp))
+        scale = logit_scale(store)
+        rp, cp = _softmax(scale * np.diagonal(block),
+                          *softmax_normalizers(block, scale))
+        mass = 0.5 * (rp.sum() + cp.sum())
         return -mass
 
     best_val, best_epoch, history = run_training(

@@ -224,6 +224,15 @@ class TestMatchBlocks:
         assert "aux1.w1" in model.store
 
 
+def full_table_softmax(score, scale=1.0):
+    """The row and column softmaxes as whole-table reductions."""
+    s = scale * score
+    se = np.exp(s - s.max(axis=1, keepdims=True))
+    ce = np.exp(s - s.max(axis=0, keepdims=True))
+    return (se / se.sum(axis=1, keepdims=True),
+            ce / ce.sum(axis=0, keepdims=True))
+
+
 class TestScoreProbabilities:
     def test_rows_and_columns_stochastic(self):
         rng = np.random.default_rng(4)
@@ -233,36 +242,71 @@ class TestScoreProbabilities:
             assert np.abs(rp.sum(axis=1) - 1).max() < 1e-6
             assert np.abs(cp.sum(axis=0) - 1).max() < 1e-6
 
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 11])
+    def test_chunked_normalizers_bit_equal_full_table(self, monkeypatch, n):
+        # chunks of 4 rows: n below, at and above one chunk, a ragged
+        # last chunk (5, 11) and whole chunks only (8)
+        monkeypatch.setattr(matching, "SOFTMAX_CHUNK", 4)
+        rng = np.random.default_rng(40 + n)
+        for m in (1, n, 7):
+            score = rng.standard_normal((n, m))
+            s = 3.5 * score
+            row_max, row_sum, col_max, col_sum = \
+                matching.softmax_normalizers(score, 3.5)
+            assert np.array_equal(row_max, s.max(axis=1))
+            assert np.array_equal(col_max, s.max(axis=0))
+            assert np.array_equal(
+                row_sum, np.exp(s - s.max(axis=1, keepdims=True)).sum(axis=1))
+            assert np.array_equal(
+                col_sum, np.exp(s - s.max(axis=0, keepdims=True)).sum(axis=0))
+            rp, cp = score_probabilities(score, 3.5)
+            full_rp, full_cp = full_table_softmax(score, 3.5)
+            assert np.array_equal(rp, full_rp) and np.array_equal(cp, full_cp)
 
-def one_block(prob, col_prob=None):
-    """Output whose one block spans every row and column of prob."""
-    rows, cols = np.arange(prob.shape[0]), np.arange(prob.shape[1])
-    col_prob = prob if col_prob is None else col_prob
-    return MatchOutput(assignment=[], blocks=[(rows, cols, prob, col_prob)])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_default_chunk_bit_equal_full_table(self, offset):
+        n = matching.SOFTMAX_CHUNK + offset
+        score = np.random.default_rng(50).standard_normal((n, 40))
+        for got, want in zip(score_probabilities(score, 14.0),
+                             full_table_softmax(score, 14.0)):
+            assert np.array_equal(got, want)
+
+
+def one_block(h1, h2, scale=1.0):
+    """Output whose one block spans every row of h1 and of h2."""
+    u1, u2 = l2_normalize_rows(h1), l2_normalize_rows(h2)
+    rows, cols = np.arange(len(u1)), np.arange(len(u2))
+    normalizers = matching.softmax_normalizers(u1 @ u2.T, scale)
+    return MatchOutput(assignment=[],
+                       blocks=[matching.MatchBlock(rows, cols, *normalizers)],
+                       u1=u1, u2=u2, scale=scale)
 
 
 class TestCompetitionScore:
     def test_one_hot_perfect(self):
+        # unit scores on the true pairs and 0 elsewhere; at scale 1000 every
+        # other exp underflows to 0, so each softmax is one-hot on the truth
         n = 6
         t = np.random.default_rng(5).permutation(n)
-        prob = np.zeros((n, n))
-        prob[np.arange(n), t] = 1.0
-        assert match_scores(one_block(prob), t)["score_softmax"] == float(n)
+        h2 = np.zeros((n, n))
+        h2[t] = np.eye(n)
+        assert match_scores(one_block(np.eye(n), h2, 1000.0), t)[
+            "score_softmax"] == float(n)
 
     def test_uniform_chance_level(self):
         n = 8
-        prob = np.full((n, n), 1.0 / n)
-        assert match_scores(one_block(prob), np.arange(n))["score_softmax"] \
+        h = np.ones((n, 3))  # every score equal
+        assert match_scores(one_block(h, h), np.arange(n))["score_softmax"] \
             == pytest.approx(1.0)
 
     def test_matches_direct_indexing(self):
         rng = np.random.default_rng(6)
-        rp, cp = rng.random((7, 7)), rng.random((7, 7))
-        rp /= rp.sum(axis=1, keepdims=True)
-        cp /= cp.sum(axis=0, keepdims=True)
+        h1, h2 = rng.standard_normal((7, 3)), rng.standard_normal((7, 3))
+        rp, cp = score_probabilities(
+            l2_normalize_rows(h1) @ l2_normalize_rows(h2).T, 5.0)
         t = rng.permutation(7)
         direct = 0.5 * sum(rp[i, t[i]] + cp[i, t[i]] for i in range(7))
-        assert match_scores(one_block(rp, cp), t)["score_softmax"] \
+        assert match_scores(one_block(h1, h2, 5.0), t)["score_softmax"] \
             == pytest.approx(direct)
 
 
@@ -309,17 +353,20 @@ class TestMatchInference:
         h2 = rng.standard_normal((4, 3))
         b1 = np.array([0, 0, 7, 7])  # batch 7 absent on the right
         b2 = np.array([0, 0, 1, 1])
-        out = match_inference(h1, h2, b1, b2, percentile=0.0)
+        out = match_inference(h1, h2, b1, b2, percentile=0.0, scale=3.0)
         assert len(out.blocks) == 1
-        rows, cols, row_prob, _ = out.blocks[0]
-        assert rows.tolist() == [0, 1] and cols.tolist() == [0, 1]
+        block = out.blocks[0]
+        assert block.rows.tolist() == [0, 1] and block.cols.tolist() == [0, 1]
         for i, j in out.assignment:
             assert i not in (2, 3) and j not in (2, 3)
-        # matched block rows are stochastic
-        assert row_prob[0].sum() == pytest.approx(1.0, abs=1e-9)
+        # matched block rows are stochastic under their normalizers
+        s = 3.0 * out.u2[block.cols] @ out.u1[0]
+        assert (np.exp(s - block.row_max[0]).sum() / block.row_sum[0]
+                == pytest.approx(1.0, abs=1e-9))
 
     @pytest.mark.parametrize("n_batches", [2, 3])
-    def test_blocks_only_and_softmax_score_bit_identical(self, n_batches):
+    def test_blocks_only_and_softmax_score_match_full_arrays(self,
+                                                             n_batches):
         rng = np.random.default_rng(20 + n_batches)
         for _ in range(5):
             n = int(rng.integers(20, 60))
@@ -336,16 +383,48 @@ class TestMatchInference:
             largest = max(np.bincount(b1).max(), np.bincount(b2).max())
             for block in out.blocks:
                 for a in block:
-                    assert a.ndim == 1 or min(a.shape) <= largest
+                    assert a.ndim == 1 and len(a) <= largest
             # the softmax score of the n x n probability arrays the blocks
-            # replace, filled by scattering each block
+            # replace, filled by scattering each batch's full softmaxes;
+            # match_scores recomputes each true pair's score as a dot
+            # product, which may differ from the matrix product's entry in
+            # its last bits
             row_prob, col_prob = np.zeros((n, n)), np.zeros((n, n))
-            for rows, cols, rp, cp in out.blocks:
+            for block in out.blocks:
+                rows, cols = block.rows, block.cols
+                block_scores = (l2_normalize_rows(h1[rows])
+                                @ l2_normalize_rows(h2[cols]).T)
+                rp, cp = score_probabilities(block_scores, 7.0)
                 row_prob[np.ix_(rows, cols)] = rp
                 col_prob[np.ix_(rows, cols)] = cp
             old = 0.5 * (float(row_prob[np.arange(n), t].sum())
                          + float(col_prob[np.arange(n), t].sum()))
-            assert match_scores(out, t)["score_softmax"] == old
+            assert match_scores(out, t)["score_softmax"] == pytest.approx(
+                old, rel=1e-12, abs=0.0)
+
+    def test_output_holds_linear_bytes(self):
+        rng = np.random.default_rng(30)
+        n1, n2, d = 90, 70, 5
+        h1, h2 = rng.standard_normal((n1, d)), rng.standard_normal((n2, d))
+        out = match_inference(h1, h2, rng.integers(0, 3, n1),
+                              rng.integers(0, 3, n2), percentile=50.0)
+        held = out.u1.nbytes + out.u2.nbytes + sum(
+            a.nbytes for block in out.blocks for a in block)
+        assert held <= 8 * (n1 + n2) * (d + 4)
+
+    def test_inference_peak_within_four_blocks(self):
+        rng = np.random.default_rng(31)
+        n, d = 600, 16
+        h1, h2 = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+        batches = np.zeros(n, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            match_inference(h1, h2, batches, batches, percentile=95.0,
+                            scale=14.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * n * 8
 
     def test_dual_symmetry(self):
         rng = np.random.default_rng(11)
