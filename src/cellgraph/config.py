@@ -67,8 +67,16 @@ class RunConfig:
                 raise ConfigError(f"{name}.conv is set by the conv.* keys")
         if not 0.0 <= self.match.percentile < 100.0:
             raise ConfigError("match.percentile must be in [0, 100)")
-        if self.knn_k < 1:
-            raise ConfigError("metrics.knn_k must be >= 1")
+        for key, value, low in (
+                ("match.reduce_rank", self.match.reduce_rank, 1),
+                ("match.aux_weight", self.match.aux_weight, 0),
+                ("embed.lsi_rank", self.embed.lsi_rank, 1),
+                ("embed.beta", self.embed.beta, 0),
+                ("metrics.knn_k", self.knn_k, 1),
+                ("synth.types", self.types, 2),
+                ("synth.batches", self.batches, 1)):
+            if not value >= low:
+                raise ConfigError(f"{key} must be >= {low}")
         if (self.task in ("match", "embed")
                 and self.conv.aggregation_norm is EdgeScaling.SYMMETRIC):
             raise ConfigError(

@@ -55,12 +55,12 @@ class ConvConfig:
 
 def init_params(g: CellFeatureGraph, cfg: ConvConfig, store: ParamStore,
                 seed: int):
-    """Register every parameter of the coupled network, the pathway
-    channel's among them when the graph has pathway edges. Beyond
-    ONE_HOT_MAX_FEATURES features, "feature_table" comes first, drawn from
-    its own generator uniform in [-1/sqrt(d), 1/sqrt(d)]. The last
-    layer's uv and vv weights keep their place in the draws, though the
-    forward pass, which computes no last feature update, reads none."""
+    """Register the parameters the coupled network's forward pass reads.
+    Only the features have an input; beyond ONE_HOT_MAX_FEATURES features,
+    "feature_table" comes first, drawn from its own generator uniform in
+    [-1/sqrt(d), 1/sqrt(d)]. The last layer computes no feature update, so
+    it holds the vu channel alone, and a learnable "alpha" exists only when
+    some layer mixes the pathway channel in, which needs two layers."""
     cfg.validate()
     d = cfg.hidden_dim
     feat_fan_in = g.n_features
@@ -70,12 +70,11 @@ def init_params(g: CellFeatureGraph, cfg: ConvConfig, store: ParamStore,
             -bound, bound, size=(g.n_features, d)))
         feat_fan_in = d
     rng = np.random.default_rng(seed)
-    store.register("in.cell.w", glorot_uniform(rng, 1, d))
-    store.register("in.cell.b", np.zeros((1, d)))
     store.register("in.feat.w", glorot_uniform(rng, feat_fan_in, d))
     store.register("in.feat.b", np.zeros((1, d)))
     for layer in range(1, cfg.n_layers + 1):
-        channels = ["uv", "vu"] + (["vv"] if g.has_pathways else [])
+        channels = (["vu"] if layer == cfg.n_layers else
+                    ["uv", "vu"] + (["vv"] if g.has_pathways else []))
         for ch in channels:
             store.register(f"l{layer}.{ch}.w", glorot_uniform(rng, d, d))
             store.register(f"l{layer}.{ch}.b", np.zeros((1, d)))
@@ -84,7 +83,7 @@ def init_params(g: CellFeatureGraph, cfg: ConvConfig, store: ParamStore,
                 store.register(f"l{layer}.{ch}.gn.b", np.zeros((1, d)))
     if cfg.n_layers > 0:
         store.register("readout.w", np.full(cfg.n_layers, 1.0 / cfg.n_layers))
-    if g.has_pathways and cfg.alpha == "learnable":
+    if g.has_pathways and cfg.alpha == "learnable" and cfg.n_layers > 1:
         store.register("alpha", np.array([[0.5]]))
 
 
@@ -104,18 +103,18 @@ def init_decoupled_params(n_input_features: int, cfg: ConvConfig,
 
 
 def input_transform(tape: Tape, g: CellFeatureGraph):
-    """H1 = relu(X W + b), separately per node type. X is one zero column
-    for the cells; for the features it is the one-hot code, where X W is W
-    itself, or beyond ONE_HOT_MAX_FEATURES the learned feature table."""
-    cell = tape.affine(tape.constant(np.zeros((g.n_cells, 1))),
-                       tape.param("in.cell.w"), tape.param("in.cell.b"),
-                       relu=True)
+    """The starting states (cells, features). Only the features have an
+    input: H = relu(X W + b) with X the one-hot code, where X W is W
+    itself, or beyond ONE_HOT_MAX_FEATURES the learned feature table. Every
+    cell starts at zero, a constant that takes no gradient."""
     if g.n_features <= ONE_HOT_MAX_FEATURES:
-        return cell, tape.relu(tape.add(tape.param("in.feat.w"),
-                                        tape.param("in.feat.b")))
-    return cell, tape.affine(tape.param("feature_table"),
-                             tape.param("in.feat.w"), tape.param("in.feat.b"),
-                             relu=True)
+        feat = tape.relu(tape.add(tape.param("in.feat.w"),
+                                  tape.param("in.feat.b")))
+    else:
+        feat = tape.affine(tape.param("feature_table"),
+                           tape.param("in.feat.w"), tape.param("in.feat.b"),
+                           relu=True)
+    return tape.constant(np.zeros((g.n_cells, feat.value.shape[1]))), feat
 
 
 def _message(tape: Tape, operator, transpose, h_source: Var, layer: int,
@@ -133,14 +132,14 @@ def _message(tape: Tape, operator, transpose, h_source: Var, layer: int,
 
 
 def conv_layer(tape: Tape, operators, h_cell: Var, h_feat: Var, layer: int,
-               cfg: ConvConfig, h0_cell: Var, h0_feat: Var,
-               last: bool = False):
+               cfg: ConvConfig, h0_feat: Var, last: bool = False):
     """One coupled layer: bidirectional messages plus residual updates.
 
     operators is the (cells_from_features, features_from_cells,
     features_from_features) triple from CellFeatureGraph.operators(mode);
     the first two are each other's transposes and the third is symmetric.
-    The pathway channel runs when the third exists. The last layer records
+    The pathway channel runs when the third exists. The cells start at
+    zero, so their initial residual adds nothing. The last layer records
     the cell side only, since nothing reads its feature update, and
     returns None in its place.
     """
@@ -153,7 +152,7 @@ def conv_layer(tape: Tape, operators, h_cell: Var, h_feat: Var, layer: int,
                      layer, "uv", cfg))
     m_vu = _message(tape, cells_from_features, features_from_cells, h_feat,
                     layer, "vu", cfg)
-    new_cell = tape.dropout(tape.add(h_cell if skip else h0_cell, m_vu),
+    new_cell = tape.dropout(tape.add(h_cell, m_vu) if skip else m_vu,
                             cfg.dropout_rate)
     if last:
         return new_cell, None
@@ -227,14 +226,11 @@ def forward(tape: Tape, g: CellFeatureGraph, cfg: ConvConfig) -> Var:
     """Coupled cell representation H-hat: the readout of every layer's
     cell state, with edges scaled by cfg.aggregation_norm."""
     operators = g.operators(cfg.aggregation_norm)
-    h_cell, h_feat = input_transform(tape, g)
-    h0_cell, h0_feat = h_cell, h_feat
-    h_cell = tape.dropout(h_cell, cfg.dropout_rate)
-    h_feat = tape.dropout(h_feat, cfg.dropout_rate)
+    h_cell, h0_feat = input_transform(tape, g)
+    h_feat = tape.dropout(h0_feat, cfg.dropout_rate)
     cell_states = []
     for layer in range(1, cfg.n_layers + 1):
         h_cell, h_feat = conv_layer(tape, operators, h_cell, h_feat, layer,
-                                    cfg, h0_cell, h0_feat,
-                                    last=layer == cfg.n_layers)
+                                    cfg, h0_feat, last=layer == cfg.n_layers)
         cell_states.append(h_cell)
     return readout(tape, cell_states)

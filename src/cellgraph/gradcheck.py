@@ -178,8 +178,9 @@ def full_network_check(seed: int = 0) -> float:
     init_params(g, cfg, store, seed=seed)
     store.register("head.w", glorot_uniform(rng, cfg.hidden_dim, 3))
     store.register("head.b", np.zeros((1, 3)))
-    # randomize every parameter: zero-init biases with zero cell inputs put
-    # ReLU pre-activations exactly on the kink, where one-sided derivatives
+    # randomize every parameter: a zero-init bias over a zero aggregate
+    # (layer 1's uv message reads the cells' zero start) puts ReLU
+    # pre-activations exactly on the kink, where one-sided derivatives
     # make finite differences meaningless
     for name in store.names():
         e = store.entries[name]

@@ -35,6 +35,12 @@ class TrainProtocol:
             raise ValueError("max_epochs must be >= 1")
         if self.lr_decay_every < 1:
             raise ValueError("lr_decay_every must be >= 1")
+        if self.lr is not None and not self.lr >= 0:
+            raise ValueError("lr must be >= 0")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be >= 0")
+        if not self.lr_decay_rate > 0:
+            raise ValueError("lr_decay_rate must be > 0")
 
 
 def split_cells(n: int, fraction: float, seed: int):

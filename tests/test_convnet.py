@@ -39,6 +39,16 @@ class TestInputTransform:
         cell, _ = input_transform(t, self.g)
         assert np.array_equal(t.value(cell), np.zeros((3, 4)))
 
+    def test_cell_start_is_exact_zero_and_takes_no_gradient(self):
+        store = ParamStore()
+        init_params(self.g, self.cfg, store, seed=0)
+        t = Tape(store, train=True)
+        cell, _ = input_transform(t, self.g)
+        assert np.array_equal(t.value(cell), np.zeros((3, 4)))
+        node = t.nodes[cell]
+        assert node.param_name is None and node.parents == ()
+        assert not node.needs_grad
+
     def test_one_hot_selects_relu_of_weight_rows(self):
         store = ParamStore()
         init_params(self.g, self.cfg, store, seed=0)
@@ -58,26 +68,70 @@ class TestInitParams:
         assert "feature_table" not in store
         assert store.value("in.feat.w").shape == (3, 8)
 
-    def test_cell_input_is_one_zero_column(self):
+    def test_cell_start_reads_no_parameter(self):
         g = toy_graph(np.ones((5, 2)))
         store = ParamStore()
         init_params(g, ConvConfig(hidden_dim=4), store, seed=0)
-        assert store.value("in.cell.w").shape == (1, 4)
+        assert not any(name.startswith("in.cell") for name in store.names())
         rng = np.random.default_rng(1)
-        store.value("in.cell.b")[:] = rng.standard_normal((1, 4))
+        for name in store.names():
+            store.value(name)[:] = rng.standard_normal(
+                store.value(name).shape)
         t = Tape(store)
         cell, _ = input_transform(t, g)
-        # a zero column times any weight leaves relu of the bias
-        assert np.array_equal(
-            t.value(cell), np.repeat(relu(store.value("in.cell.b")), 5, 0))
+        # only the features have an input: whatever the weights, the
+        # cells start at zero
+        assert np.array_equal(t.value(cell), np.zeros((5, 4)))
 
     def test_table_registered_first(self):
         store = ParamStore()
         init_params(toy_graph(np.ones((2, ONE_HOT_MAX_FEATURES + 1))),
                     ConvConfig(hidden_dim=8), store, seed=0)
-        assert store.names()[:4] == ["feature_table", "in.cell.w",
-                                     "in.cell.b", "in.feat.w"]
+        assert store.names()[:3] == ["feature_table", "in.feat.w",
+                                     "in.feat.b"]
         assert store.value("in.feat.w").shape == (8, 8)
+
+    @staticmethod
+    def _network(n_layers, pathways=True, **conv):
+        g = toy_graph([[1.0, 2.0, 0.5], [0.5, 1.0, 2.0]])
+        if pathways:
+            g = augment_with_pathways(g, GeneSetCollection([("s", [0, 1, 2])]))
+        cfg = ConvConfig(n_layers=n_layers, hidden_dim=4, **conv)
+        store = ParamStore()
+        init_params(g, cfg, store, seed=0)
+        return g, cfg, store
+
+    def test_last_layer_registers_the_vu_channel_alone(self):
+        def channel(layer, ch):
+            return [f"l{layer}.{ch}.{p}" for p in ("w", "b", "gn.g", "gn.b")]
+
+        names = self._network(4, alpha="learnable")[2].names()
+        assert names == (["in.feat.w", "in.feat.b"]
+                         + [name for layer in (1, 2, 3)
+                            for ch in ("uv", "vu", "vv")
+                            for name in channel(layer, ch)]
+                         + channel(4, "vu") + ["readout.w", "alpha"])
+
+    def test_one_layer_registers_no_alpha_and_no_pathway_channel(self):
+        # the pathway channel feeds only feature updates, and a one-layer
+        # network computes none, so nothing mixes it in
+        assert self._network(1, alpha="learnable")[2].names() == [
+            "in.feat.w", "in.feat.b", "l1.vu.w", "l1.vu.b", "l1.vu.gn.g",
+            "l1.vu.gn.b", "readout.w"]
+
+    @pytest.mark.parametrize("n_layers, pathways, conv", [
+        (1, True, {"alpha": "learnable"}),
+        (2, True, {"alpha": "learnable"}),
+        (3, True, {"aggregation_norm": SYM, "residual_mode": "skip"}),
+        (3, False, {"alpha": "learnable"}),
+    ])
+    def test_forward_reads_every_registered_parameter(self, n_layers,
+                                                      pathways, conv):
+        g, cfg, store = self._network(n_layers, pathways, **conv)
+        t = Tape(store, rng=np.random.default_rng(0))
+        forward(t, g, cfg)
+        read = {node.param_name for node in t.nodes} - {None}
+        assert read == set(store.names())
 
     def test_table_within_bound_and_same_for_same_seed(self):
         g = toy_graph(np.ones((4, 2001)))
@@ -113,7 +167,7 @@ class TestConvLayer:
     def test_empty_graph_pure_residual_with_zero_bias(self):
         with pytest.warns(UserWarning, match="edgeless"):
             g = build_bipartite(SparseMatrix.from_coo(2, 2, [], [], []))
-        cfg = ConvConfig(n_layers=1, hidden_dim=3, dropout_rate=0.0,
+        cfg = ConvConfig(n_layers=2, hidden_dim=3, dropout_rate=0.0,
                          aggregation_norm=EdgeScaling.POST_NORM,
                          residual_mode="skip")
         store = ParamStore()
@@ -124,7 +178,7 @@ class TestConvLayer:
         h_feat = t.constant(rng.standard_normal((2, 3)))
         new_cell, new_feat = conv_layer(
             t, g.operators(EdgeScaling.POST_NORM), h_cell, h_feat, 1, cfg,
-            h_cell, h_feat)
+            h_feat)
         # messages are group_norm(relu(0 + b)) = group_norm(0) = beta = 0
         assert np.allclose(t.value(new_cell), t.value(h_cell))
         assert np.allclose(t.value(new_feat), t.value(h_feat))
@@ -136,7 +190,7 @@ class TestConvLayer:
         g.ff_i = np.array([0])
         g.ff_j = np.array([1])
         g.ff_weights = np.array([0.8])
-        cfg = ConvConfig(n_layers=1, hidden_dim=3, dropout_rate=0.0,
+        cfg = ConvConfig(n_layers=2, hidden_dim=3, dropout_rate=0.0,
                          aggregation_norm=EdgeScaling.SYMMETRIC, alpha=1.0,
                          residual_mode="skip")
         store = ParamStore()
@@ -147,21 +201,21 @@ class TestConvLayer:
         h_cell = t.constant(rng.standard_normal((3, 3)))
         h_feat = t.constant(rng.standard_normal((2, 3)))
         _, feat_a = conv_layer(t, g.operators(SYM), h_cell, h_feat, 1, cfg,
-                               h_cell, h_feat)
+                               h_feat)
         store.entries["l1.uv.w"].value[:] = 0.0
         store.entries["l1.uv.b"].value[:] = 7.7
         t2 = Tape(store)
         h_cell2 = t2.constant(t.value(h_cell))
         h_feat2 = t2.constant(t.value(h_feat))
         _, feat_b = conv_layer(t2, g.operators(SYM), h_cell2, h_feat2, 1, cfg,
-                               h_cell2, h_feat2)
+                               h_feat2)
         assert np.allclose(t.value(feat_a), t2.value(feat_b))
 
     def test_hand_expanded_aggregation(self):
         # 3 cells, 2 features, unit weights; symmetric normalization
         dense = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         g = toy_graph(dense)
-        cfg = ConvConfig(n_layers=1, hidden_dim=2, dropout_rate=0.0,
+        cfg = ConvConfig(n_layers=2, hidden_dim=2, dropout_rate=0.0,
                          aggregation_norm=EdgeScaling.SYMMETRIC,
                          residual_mode="skip")
         store = ParamStore()
@@ -170,9 +224,9 @@ class TestConvLayer:
         hc = rng.standard_normal((3, 2))
         hf = rng.standard_normal((2, 2))
         t = Tape(store)
+        h_feat = t.constant(hf)
         new_cell, new_feat = conv_layer(t, g.operators(SYM), t.constant(hc),
-                                        t.constant(hf), 1, cfg,
-                                        t.constant(hc), t.constant(hf))
+                                        h_feat, 1, cfg, h_feat)
         deg_c = dense.sum(axis=1)
         deg_f = dense.sum(axis=0)
         norm = dense / np.sqrt(np.outer(deg_c, deg_f))
@@ -186,22 +240,27 @@ class TestConvLayer:
     def test_initial_residual_uses_first_layer_state(self):
         dense = np.array([[1.0, 1.0], [1.0, 1.0]])
         g = toy_graph(dense)
-        cfg = ConvConfig(n_layers=1, hidden_dim=2, dropout_rate=0.0,
+        cfg = ConvConfig(n_layers=2, hidden_dim=2, dropout_rate=0.0,
                          aggregation_norm=EdgeScaling.SYMMETRIC,
                          residual_mode="initial")
         store = ParamStore()
         init_params(g, cfg, store, seed=6)
         rng = np.random.default_rng(7)
-        h0c, h0f = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+        h0f = rng.standard_normal((2, 2))
         hc, hf = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
         t = Tape(store)
-        new_cell, _ = conv_layer(t, g.operators(SYM), t.constant(hc),
-                                 t.constant(hf), 1, cfg, t.constant(h0c),
-                                 t.constant(h0f))
+        new_cell, new_feat = conv_layer(t, g.operators(SYM), t.constant(hc),
+                                        t.constant(hf), 1, cfg,
+                                        t.constant(h0f))
         norm = dense / 2.0
+        m_uv = relu(norm.T @ hc @ store.value("l1.uv.w")
+                    + store.value("l1.uv.b"))
         m_vu = relu(norm @ hf @ store.value("l1.vu.w")
                     + store.value("l1.vu.b"))
-        assert np.allclose(t.value(new_cell), h0c + m_vu)
+        # the features add their first state; the cells' first state is
+        # zero, so their update is the message alone
+        assert np.allclose(t.value(new_feat), h0f + m_uv)
+        assert np.allclose(t.value(new_cell), m_vu)
 
 
 class TestPathwayChannel:
@@ -350,7 +409,7 @@ class TestForward:
         states = []
         for layer in (1, 2):
             hc, hf = conv_layer(t2, g.operators(SYM), hc, hf, layer, cfg,
-                                hc, hf)
+                                hf, last=layer == 2)
             states.append(hc)
         manual = readout(t2, states)
         assert np.allclose(t.value(h_hat), t2.value(manual))
@@ -377,11 +436,12 @@ class TestForward:
             var = z.var(axis=1, keepdims=True)
             return (z - mu) / np.sqrt(var + 1e-5) * gamma + beta
 
-        h0_cell = relu(np.zeros((4, 1)) @ v("in.cell.w") + v("in.cell.b"))
         h0_feat = relu(v("in.feat.w") + v("in.feat.b"))
         m_vu = group_norm(relu(dense @ h0_feat @ v("l1.vu.w") + v("l1.vu.b")),
                           v("l1.vu.gn.g"), v("l1.vu.gn.b"))
-        expected = v("readout.w")[0] * (h0_cell + m_vu)
+        # the cells' initial state is zero, so the initial residual adds
+        # nothing to the message
+        expected = v("readout.w")[0] * m_vu
         t = Tape(store)
         assert np.allclose(t.value(forward(t, g, cfg)), expected,
                            atol=1e-12)
@@ -433,7 +493,7 @@ class TestTaskDefaults:
 
 # ---------------------------------------------------------------------------
 # the network as it was recorded with the matmul -> add -> relu chain and
-# with both halves of every layer
+# with its initial residual spelled out
 
 
 def reference_affine(tape, x, w, b, relu=False):
@@ -443,8 +503,9 @@ def reference_affine(tape, x, w, b, relu=False):
 
 
 def reference_forward(tape, g, cfg):
-    """forward() with every dense layer as the three-node chain and the
-    last layer's feature update recorded, though nothing reads it."""
+    """forward() with every dense layer as the three-node chain and every
+    residual an add, the cells' from their zero start; the last layer
+    records no feature update, and the zero start draws no dropout mask."""
     operators = g.operators(cfg.aggregation_norm)
     rate = cfg.dropout_rate
 
@@ -460,21 +521,27 @@ def reference_forward(tape, g, cfg):
                                   n_groups=cfg.n_groups)
         return msg
 
-    cell = reference_affine(tape, tape.constant(np.zeros((g.n_cells, 1))),
-                            tape.param("in.cell.w"), tape.param("in.cell.b"),
-                            relu=True)
+    cell = tape.constant(np.zeros((g.n_cells, cfg.hidden_dim)))
     feat_w = tape.param("in.feat.w")
     if g.n_features > ONE_HOT_MAX_FEATURES:
         feat_w = tape.matmul(tape.param("feature_table"), feat_w)
     feat = tape.relu(tape.add(feat_w, tape.param("in.feat.b")))
     h0_cell, h0_feat = cell, feat
     if rate > 0:
-        cell, feat = tape.dropout(cell, rate), tape.dropout(feat, rate)
+        feat = tape.dropout(feat, rate)
     skip = cfg.residual_mode == "skip"
     states = []
     for layer in range(1, cfg.n_layers + 1):
-        m_uv = message(operators[1], cell, layer, "uv")
+        last = layer == cfg.n_layers
+        if not last:
+            m_uv = message(operators[1], cell, layer, "uv")
         m_vu = message(operators[0], feat, layer, "vu")
+        cell = tape.add(cell if skip else h0_cell, m_vu)
+        if rate > 0:
+            cell = tape.dropout(cell, rate)
+        states.append(cell)
+        if last:
+            break
         if operators[2] is not None:
             m_vv = message(operators[2], feat, layer, "vv")
             if cfg.alpha == "learnable":
@@ -483,12 +550,9 @@ def reference_forward(tape, g, cfg):
             else:
                 m_uv = tape.scalar_mix([m_vv, m_uv],
                                        np.array([cfg.alpha, 1 - cfg.alpha]))
-        new_feat = tape.add(feat if skip else h0_feat, m_uv)
-        cell = tape.add(cell if skip else h0_cell, m_vu)
-        feat = new_feat
+        feat = tape.add(feat if skip else h0_feat, m_uv)
         if rate > 0:
-            cell, feat = tape.dropout(cell, rate), tape.dropout(feat, rate)
-        states.append(cell)
+            feat = tape.dropout(feat, rate)
     return readout(tape, states)
 
 
@@ -581,9 +645,7 @@ class TestAgainstReference:
         assert np.array_equal(h, ref_h) and np.array_equal(loss, ref_loss)
         for name in store.names():
             assert np.array_equal(grads[name], ref_grads[name]), name
-        # the reference draws one more mask: the last feature update's
-        drawn = len(ref_draws) - (cfg.dropout_rate > 0)
-        assert len(draws) == drawn
+        assert len(draws) == len(ref_draws)
         assert all(np.array_equal(a, b) for a, b in zip(draws, ref_draws))
 
     @pytest.mark.parametrize("pathways", [True, False])

@@ -9,16 +9,17 @@ import re
 import numpy as np
 import pytest
 
+from cellgraph.autodiff import ParamStore, load_checkpoint
 from cellgraph.cli import cli_dispatch
 from cellgraph.config import (ConfigError, RunConfig, apply_setting,
                               load_config_file)
-from cellgraph.convnet import ConvConfig
+from cellgraph.convnet import ConvConfig, init_params
 from cellgraph.data import (Dataset, generate_synthetic, load_dataset,
                             load_gene_sets, load_labels, load_real_array,
                             load_sparse_matrix, read_kv, save_dataset,
                             write_dense_matrix, write_kv, write_labels,
                             write_real_array, write_sparse_matrix)
-from cellgraph.graph import EdgeScaling
+from cellgraph.graph import EdgeScaling, augment_with_pathways, build_bipartite
 from cellgraph.linalg import SparseMatrix
 from cellgraph.tasks import MatcherConfig
 
@@ -439,6 +440,24 @@ class TestCli:
         assert run_cli("synth", "--cells", "40", "--seed", "2",
                        "--out", str(tmp_path / "s"), "--set", setting) == code
 
+    @pytest.mark.parametrize("command, setting", [
+        ("predict", "train.lr=-0.5"), ("predict", "train.weight_decay=-1"),
+        ("predict", "train.lr_decay_rate=0"), ("match", "match.aux_weight=-1"),
+        ("match", "match.reduce_rank=0"), ("embed", "embed.beta=-1"),
+        ("embed", "embed.lsi_rank=0"), ("synth", "synth.types=1"),
+        ("synth", "synth.batches=0")])
+    def test_out_of_range_setting_exit_1_naming_the_key(
+            self, tmp_path, command, setting, capsys):
+        # each fails before the (missing) dataset is read, and synth
+        # writes nothing
+        data = ["--data", str(tmp_path / "nowhere")] * (command != "synth")
+        assert run_cli(command, *data, "--out", str(tmp_path / "o"),
+                       "--set", setting) == 1
+        err = capsys.readouterr().err
+        assert "config error: " in err
+        assert f" {setting.split('=')[0]} must be " in err
+        assert not (tmp_path / "o").exists()
+
     def test_predict_without_layers_exit_1(self, tmp_path, capsys):
         # the coupled readout mixes per-layer states, so predict needs one;
         # the (missing) dataset is never read
@@ -476,6 +495,30 @@ class TestCli:
                        *fast_overrides("conv.n_layers=1"))
         assert code == 0
         assert "val_rmse" in read_kv(out / "report.kv")
+
+    def test_predict_checkpoint_holds_what_the_network_registers(
+            self, synth_dir, tmp_path):
+        sets_path = tmp_path / "sets.tsv"
+        sets_path.write_text("p1\tg1_0000,g1_0001,g1_0002\n"
+                             "p2\tg1_0002,g1_0003\n")
+        out = tmp_path / "pred_ckpt"
+        assert run_cli("predict", "--data", str(synth_dir), "--seed", "1",
+                       "--out", str(out),
+                       "--set", f"predict.gene_sets={sets_path}",
+                       *fast_overrides("conv.n_layers=3",
+                                       "conv.alpha=learnable")) == 0
+        ds = load_dataset(synth_dir)
+        g = augment_with_pathways(build_bipartite(ds.modality_1),
+                                  load_gene_sets(sets_path,
+                                                 synth_dir / "features1.txt"))
+        store = ParamStore()
+        init_params(g, ConvConfig(n_layers=3, hidden_dim=16,
+                                  alpha="learnable"), store, seed=1)
+        names = sorted(load_checkpoint(out / "model.ckpt").names())
+        assert names == sorted(store.names() + ["head.w", "head.b"])
+        assert "alpha" in names and "l3.vu.w" in names
+        assert not any(n.startswith(("in.cell", "l3.uv", "l3.vv"))
+                       for n in names)
 
     def test_embed_then_eval_smoke(self, synth_dir, tmp_path):
         out = tmp_path / "embed"
