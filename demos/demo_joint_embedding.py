@@ -9,13 +9,14 @@ and scores the embedding with the six-metric suite.
 
 import numpy as np
 
+from cellgraph.convnet import ConvConfig
 from cellgraph.data import generate_synthetic
 from cellgraph.metrics import (aggregate, batch_asw, cell_type_asw,
                                cell_cycle_conservation, graph_connectivity,
                                knn_graph, nmi_cluster_label,
                                pseudotime_from_root, trajectory_conservation,
                                variance_explained)
-from cellgraph.tasks import (EmbedConfig, TrainProtocol, pca_concat_baseline,
+from cellgraph.tasks import (TrainProtocol, pca_concat_baseline,
                              train_joint_embedding)
 
 ds = generate_synthetic(n_cells=400, dims=(60, 45), n_types=3, n_batches=2,
@@ -26,7 +27,7 @@ protocol = TrainProtocol(patience_epochs=100, max_epochs=500, seed=0,
                          weight_decay=1e-4)
 print("training the joint-embedding head...")
 model = train_joint_embedding(ds.modality_1, m2, ds.cell_type_labels,
-                              protocol, EmbedConfig())
+                              ConvConfig(), protocol)
 embedding = model.embed()
 print(f"  embedding {embedding.shape}, first {model.n_types} "
       f"dimensions carry the cell-type logits")

@@ -9,9 +9,10 @@ percentile filter, and a maximum-weight rectangular assignment.
 
 import numpy as np
 
+from cellgraph.convnet import ConvConfig
 from cellgraph.data import generate_synthetic
-from cellgraph.tasks import (MatcherConfig, TrainProtocol, logit_scale,
-                             match_inference, match_scores, train_matcher)
+from cellgraph.tasks import (TrainProtocol, logit_scale, match_inference,
+                             match_scores, train_matcher)
 
 # 500 cells; modality 2 rows are shuffled and the true pairing is recorded
 ds = generate_synthetic(n_cells=500, noise=0.1, dropout=0.3, seed=7)
@@ -23,8 +24,9 @@ protocol = TrainProtocol(patience_epochs=300, max_epochs=1200, seed=0,
                          weight_decay=1e-3, lr_decay_rate=0.7,
                          lr_decay_every=200)
 print("training matcher (decoupled propagation precomputed once)...")
-model = train_matcher(ds.modality_1, ds.modality_2, ds.correspondence,
-                      protocol, MatcherConfig())
+conv = ConvConfig(n_layers=3, hidden_dim=64, dropout_rate=0.5)
+model = train_matcher(ds.modality_1, ds.modality_2, ds.correspondence, conv,
+                      protocol)
 print(f"  best epoch {model.best_epoch}, "
       f"validation metric {model.validation_loss:.4f}")
 

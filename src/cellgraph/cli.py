@@ -164,7 +164,7 @@ def _run_match(cfg: RunConfig) -> int:
         raise ValueError("matching needs two modalities plus the train "
                          "correspondence")
     model = train_matcher(ds.modality_1, ds.modality_2, ds.correspondence,
-                          cfg.protocol(), cfg.matcher_config())
+                          cfg.conv_config("match"), cfg.protocol(), cfg.match)
     output = model.infer(ds.batch_labels, ds.batch_labels_2())
     scores = match_scores(output, ds.correspondence)
     out = _out_dir(cfg, "match_out")
@@ -200,7 +200,8 @@ def _run_embed(cfg: RunConfig) -> int:
                          "(NA rows allowed)")
     m2 = ds.modality_2_aligned()
     model = train_joint_embedding(ds.modality_1, m2, ds.cell_type_labels,
-                                  cfg.protocol(), cfg.embed_config())
+                                  cfg.conv_config("embed"), cfg.protocol(),
+                                  cfg.embed)
     embedding = model.embed()
     out = _out_dir(cfg, "embed_out")
     write_run_log(model.history, os.path.join(out, "run.log"))

@@ -32,9 +32,7 @@ def _validated(section: str, obj):
 class RunConfig:
     """Every knob of every pipeline, with conservative defaults. The conv,
     train, match and embed keys set fields of the objects they configure;
-    a run's conv, whose n_layers of None means the task's default
-    (4 / 3 / 2), takes the place of the conv of `match` and `embed`, which
-    stays None."""
+    conv's n_layers of None means the task's default (4 / 3 / 2)."""
 
     task: str = ""
     data: str = ""
@@ -43,9 +41,8 @@ class RunConfig:
         default_factory=lambda: ConvConfig(n_layers=None))
     gene_sets: str = ""
     train: TrainProtocol = field(default_factory=TrainProtocol)
-    match: MatcherConfig = field(
-        default_factory=lambda: MatcherConfig(conv=None))
-    embed: EmbedConfig = field(default_factory=lambda: EmbedConfig(conv=None))
+    match: MatcherConfig = field(default_factory=MatcherConfig)
+    embed: EmbedConfig = field(default_factory=EmbedConfig)
     # metrics.*
     knn_k: int = 15
     # synth.*
@@ -62,19 +59,21 @@ class RunConfig:
         the objects they build. A task that builds no network checks
         conv.alpha, conv.dropout and conv.residual, not the network's
         shape."""
-        for name in ("match", "embed"):
-            if getattr(self, name).conv is not None:
-                raise ConfigError(f"{name}.conv is set by the conv.* keys")
         if not 0.0 <= self.match.percentile < 100.0:
             raise ConfigError("match.percentile must be in [0, 100)")
+        if not 0.0 <= self.synth_dropout < 1.0:
+            raise ConfigError("synth.dropout must be in [0, 1)")
         for key, value, low in (
                 ("match.reduce_rank", self.match.reduce_rank, 1),
                 ("match.aux_weight", self.match.aux_weight, 0),
                 ("embed.lsi_rank", self.embed.lsi_rank, 1),
                 ("embed.beta", self.embed.beta, 0),
                 ("metrics.knn_k", self.knn_k, 1),
+                ("synth.cells", self.cells, 2),
+                ("synth.dim1", self.dim1, 1), ("synth.dim2", self.dim2, 1),
                 ("synth.types", self.types, 2),
-                ("synth.batches", self.batches, 1)):
+                ("synth.batches", self.batches, 1),
+                ("synth.noise", self.noise, 0)):
             if not value >= low:
                 raise ConfigError(f"{key} must be >= {low}")
         if (self.task in ("match", "embed")
@@ -102,12 +101,6 @@ class RunConfig:
 
     def protocol(self) -> TrainProtocol:
         return _validated("train", replace(self.train))
-
-    def matcher_config(self) -> MatcherConfig:
-        return replace(self.match, conv=self.conv_config("match"))
-
-    def embed_config(self) -> EmbedConfig:
-        return replace(self.embed, conv=self.conv_config("embed"))
 
 
 def _parse_alpha(text: str):

@@ -7,6 +7,7 @@ gene sets, and flat key-value reports. Everything round-trips exactly.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -96,6 +97,13 @@ class Dataset:
         return out
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # coordinate matrix format
 
@@ -123,9 +131,10 @@ def load_sparse_matrix(path) -> SparseMatrix:
             raise ValueError(f"{path}:{lineno}: expected 'row col value'")
         try:
             r, c = int(parts[0]), int(parts[1])
-            v = float(parts[2])
+            v = _finite_float(parts[2])
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-numeric entry") from exc
+            raise ValueError(f"{path}:{lineno}: non-numeric or non-finite "
+                             f"entry: {line.strip()!r}") from exc
         if not (1 <= r <= n_rows and 1 <= c <= n_cols):
             raise ValueError(f"{path}:{lineno}: index ({r}, {c}) out of range "
                              f"for {n_rows}x{n_cols}")
@@ -196,8 +205,8 @@ def write_labels(ids, names, path):
             fh.write(("NA" if i == UNLABELED else names[i]) + "\n")
 
 
-def _load_numbers(path, parse) -> list:
-    """One number per non-blank line, read with parse."""
+def _load_numbers(path, parse, kind: str = "number") -> list:
+    """One kind per non-blank line, read with parse."""
     values = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -205,13 +214,13 @@ def _load_numbers(path, parse) -> list:
                 try:
                     values.append(parse(line))
                 except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: not a number: "
+                    raise ValueError(f"{path}:{lineno}: not a {kind}: "
                                      f"{line.strip()!r}") from exc
     return values
 
 
 def load_real_array(path) -> np.ndarray:
-    return np.asarray(_load_numbers(path, float), dtype=np.float64)
+    return np.asarray(_load_numbers(path, _finite_float, "finite number"))
 
 
 def write_real_array(values, path):

@@ -44,7 +44,9 @@ class TrainProtocol:
 
 
 def split_cells(n: int, fraction: float, seed: int):
-    """Shuffled (train, validation) index split."""
+    """Shuffled (train, validation) index split; both are non-empty."""
+    if n < 2:
+        raise ValueError(f"a split needs at least 2 cells, got {n}")
     order = np.random.default_rng(seed).permutation(n)
     n_train = min(n - 1, max(1, int(round(n * fraction))))
     return np.sort(order[:n_train]), np.sort(order[n_train:])

@@ -10,7 +10,7 @@ import numpy as np
 from ..autodiff import ParamStore, Tape, Var, glorot_uniform
 from ..convnet import ConvConfig, decoupled_forward, decoupled_propagate, \
     init_decoupled_params
-from ..graph import EdgeScaling, build_bipartite
+from ..graph import build_bipartite
 from ..linalg import SparseMatrix, lsi_embedding, truncated_svd
 from .common import EpochRecord, TrainProtocol, run_training, split_cells
 
@@ -59,9 +59,6 @@ def joint_embedding_loss(tape: Tape, h: Var, x_lsi, cell_types, n_types: int,
 
 @dataclass
 class EmbedConfig:
-    conv: ConvConfig = field(default_factory=lambda: ConvConfig(
-        n_layers=2, hidden_dim=48, aggregation_norm=EdgeScaling.POST_NORM,
-        dropout_rate=0.2))
     lsi_rank: int = 32
     beta: float = 0.01
 
@@ -69,7 +66,7 @@ class EmbedConfig:
 @dataclass
 class EmbedModel:
     store: ParamStore
-    cfg: EmbedConfig
+    conv: ConvConfig
     states: list[np.ndarray]
     n_types: int
     validation_loss: float
@@ -80,11 +77,11 @@ class EmbedModel:
         """Final per-cell representation; its first n_types columns are the
         supervised cell-type logits."""
         tape = Tape(self.store, train=False)
-        return tape.value(decoupled_forward(tape, self.states, self.cfg.conv))
+        return tape.value(decoupled_forward(tape, self.states, self.conv))
 
 
 def train_joint_embedding(m1: SparseMatrix, m2: SparseMatrix, cell_types,
-                          protocol: TrainProtocol,
+                          conv: ConvConfig, protocol: TrainProtocol,
                           cfg: EmbedConfig | None = None) -> EmbedModel:
     """LSI both modalities, concatenate, propagate, train the decoupled head.
 
@@ -99,7 +96,7 @@ def train_joint_embedding(m1: SparseMatrix, m2: SparseMatrix, cell_types,
     if labeled.size == 0:
         raise ValueError("joint embedding needs at least one labeled cell")
     n_types = int(labeled.max()) + 1
-    if n_types >= cfg.conv.hidden_dim:
+    if n_types >= conv.hidden_dim:
         raise ValueError("hidden_dim must exceed the number of cell types")
     rank = min(cfg.lsi_rank, min(m1.shape) - 1, min(m2.shape) - 1)
     x = np.hstack([
@@ -107,12 +104,12 @@ def train_joint_embedding(m1: SparseMatrix, m2: SparseMatrix, cell_types,
         lsi_embedding(m2, rank, protocol.seed + 1),
     ])
     g = build_bipartite(SparseMatrix.from_dense(x))
-    states = [x] + decoupled_propagate(g, x, cfg.conv.n_layers,
-                                       cfg.conv.aggregation_norm)
+    states = [x] + decoupled_propagate(g, x, conv.n_layers,
+                                       conv.aggregation_norm)
 
     store = ParamStore()
-    init_decoupled_params(x.shape[1], cfg.conv, store, protocol.seed)
-    register_embed_params(store, cfg.conv.hidden_dim, x.shape[1],
+    init_decoupled_params(x.shape[1], conv, store, protocol.seed)
+    register_embed_params(store, conv.hidden_dim, x.shape[1],
                           protocol.seed + 1)
 
     n = m1.n_rows
@@ -127,7 +124,7 @@ def train_joint_embedding(m1: SparseMatrix, m2: SparseMatrix, cell_types,
     def train_epoch(tape: Tape):
         # the MLP runs on all n rows before the take: its dropout draws
         # one mask over every row, so gathering first would change them
-        h_all = decoupled_forward(tape, states, cfg.conv)
+        h_all = decoupled_forward(tape, states, conv)
         return build_loss(tape, tape.take(h_all, train_idx), train_idx)
 
     # the MLP is row-wise and eval mode draws nothing, so validation
@@ -136,13 +133,13 @@ def train_joint_embedding(m1: SparseMatrix, m2: SparseMatrix, cell_types,
 
     def validate() -> float:
         tape = Tape(store, train=False)
-        h = decoupled_forward(tape, val_states, cfg.conv)
+        h = decoupled_forward(tape, val_states, conv)
         return float(np.asarray(tape.value(build_loss(tape, h, val_idx))))
 
     best_val, best_epoch, history = run_training(
         store, train_epoch, validate, protocol, EMBED_LR
     )
-    return EmbedModel(store, cfg, states, n_types, best_val, best_epoch,
+    return EmbedModel(store, conv, states, n_types, best_val, best_epoch,
                       history)
 
 

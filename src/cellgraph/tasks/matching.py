@@ -12,7 +12,7 @@ from ..assignment import AssignmentProblem, percentile_filter, solve
 from ..autodiff import ParamStore, Tape, Var, glorot_uniform
 from ..convnet import ConvConfig, decoupled_forward, decoupled_propagate, \
     init_decoupled_params
-from ..graph import EdgeScaling, build_bipartite
+from ..graph import build_bipartite
 from ..linalg import SparseMatrix, l2_normalize_rows, truncated_svd
 from .common import EpochRecord, TrainProtocol, run_training, split_cells
 
@@ -300,9 +300,6 @@ def match_scores(output: MatchOutput, truth) -> dict[str, float]:
 
 @dataclass
 class MatcherConfig:
-    conv: ConvConfig = field(default_factory=lambda: ConvConfig(
-        n_layers=3, hidden_dim=64, aggregation_norm=EdgeScaling.POST_NORM,
-        dropout_rate=0.5))
     reduce_rank: int = 32
     aux_weight: float = 1.0  # 0 trains no aux networks at all
     percentile: float = 95.0
@@ -319,6 +316,7 @@ def _embed_pair(store: ParamStore, conv: ConvConfig, states1, states2):
 @dataclass
 class MatcherModel:
     store: ParamStore
+    conv: ConvConfig
     cfg: MatcherConfig
     states1: list[np.ndarray]
     states2: list[np.ndarray]
@@ -328,8 +326,7 @@ class MatcherModel:
 
     def embeddings(self):
         """Eval-mode cell representations for both modalities."""
-        return _embed_pair(self.store, self.cfg.conv, self.states1,
-                           self.states2)
+        return _embed_pair(self.store, self.conv, self.states1, self.states2)
 
     def infer(self, batch_labels_1, batch_labels_2) -> MatchOutput:
         h1, h2 = self.embeddings()
@@ -345,7 +342,7 @@ def reduce_modality(m: SparseMatrix, rank: int, seed: int) -> np.ndarray:
 
 
 def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
-                  protocol: TrainProtocol,
+                  conv: ConvConfig, protocol: TrainProtocol,
                   cfg: MatcherConfig | None = None) -> MatcherModel:
     """Train the two decoupled towers against the known train pairing.
 
@@ -361,20 +358,20 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
     x2 = reduce_modality(m2, cfg.reduce_rank, protocol.seed + 1)
     g1 = build_bipartite(SparseMatrix.from_dense(x1))
     g2 = build_bipartite(SparseMatrix.from_dense(x2))
-    mode = cfg.conv.aggregation_norm
-    states1 = [x1] + decoupled_propagate(g1, x1, cfg.conv.n_layers, mode)
-    states2 = [x2] + decoupled_propagate(g2, x2, cfg.conv.n_layers, mode)
+    mode = conv.aggregation_norm
+    states1 = [x1] + decoupled_propagate(g1, x1, conv.n_layers, mode)
+    states2 = [x2] + decoupled_propagate(g2, x2, conv.n_layers, mode)
 
     store = ParamStore()
-    init_decoupled_params(x1.shape[1], cfg.conv, store, protocol.seed,
+    init_decoupled_params(x1.shape[1], conv, store, protocol.seed,
                           prefix="m1.")
-    init_decoupled_params(x2.shape[1], cfg.conv, store, protocol.seed + 1,
+    init_decoupled_params(x2.shape[1], conv, store, protocol.seed + 1,
                           prefix="m2.")
     register_logit_scale(store)
     train_idx, val_idx = split_cells(n, protocol.split_fraction, protocol.seed)
     aux_train = None
     if cfg.aux_weight != 0:
-        register_aux_params(store, cfg.conv.hidden_dim, x1.shape[1],
+        register_aux_params(store, conv.hidden_dim, x1.shape[1],
                             x2.shape[1], protocol.seed + 2)
         aux_train = (x1[train_idx], x2[t_all[train_idx]])
     # the MLP is row-wise, so each split's rows are gathered before it, with
@@ -385,8 +382,8 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
     val2 = [s[t_all[val_idx]] for s in states2]
 
     def train_epoch(tape: Tape):
-        h1 = decoupled_forward(tape, train1, cfg.conv, prefix="m1.")
-        h2 = decoupled_forward(tape, train2, cfg.conv, prefix="m2.")
+        h1 = decoupled_forward(tape, train1, conv, prefix="m1.")
+        h2 = decoupled_forward(tape, train2, conv, prefix="m2.")
         total, _, _ = matching_losses(
             tape, h1, h2, np.arange(len(train_idx)), aux_targets=aux_train,
             aux_weight=cfg.aux_weight)
@@ -396,7 +393,7 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
         # early stopping watches the negated validation competition score:
         # the held-out cross-entropy plateaus long before the probability
         # mass on true pairs (the task metric) stops improving
-        h1, h2 = _embed_pair(store, cfg.conv, val1, val2)
+        h1, h2 = _embed_pair(store, conv, val1, val2)
         block = l2_normalize_rows(h1) @ l2_normalize_rows(h2).T
         scale = logit_scale(store)
         rp, cp = _softmax(scale * np.diagonal(block),
@@ -407,5 +404,5 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
     best_val, best_epoch, history = run_training(
         store, train_epoch, validate, protocol, MATCHING_LR
     )
-    return MatcherModel(store, cfg, states1, states2, best_val, best_epoch,
-                        history)
+    return MatcherModel(store, conv, cfg, states1, states2, best_val,
+                        best_epoch, history)

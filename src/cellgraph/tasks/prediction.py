@@ -25,10 +25,10 @@ def rmse_loss(pred, target) -> float:
 
 
 def _predict(store: ParamStore, g: CellFeatureGraph,
-             cfg: ConvConfig) -> np.ndarray:
+             conv: ConvConfig) -> np.ndarray:
     """Eval-mode forward pass through the head, for every cell."""
     tape = Tape(store, train=False)
-    h_hat = forward(tape, g, cfg)
+    h_hat = forward(tape, g, conv)
     return tape.value(tape.affine(h_hat, tape.param("head.w"),
                                   tape.param("head.b")))
 
@@ -36,7 +36,7 @@ def _predict(store: ParamStore, g: CellFeatureGraph,
 @dataclass
 class PredictionModel:
     store: ParamStore
-    cfg: ConvConfig
+    conv: ConvConfig
     graph: CellFeatureGraph
     validation_rmse: float
     best_epoch: int
@@ -46,10 +46,10 @@ class PredictionModel:
 
     def predict(self) -> np.ndarray:
         """Eval-mode forward pass through the trained head."""
-        return _predict(self.store, self.graph, self.cfg)
+        return _predict(self.store, self.graph, self.conv)
 
 
-def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
+def train_prediction(g: CellFeatureGraph, target, conv: ConvConfig,
                      protocol: TrainProtocol,
                      gene_sets: GeneSetCollection | None = None
                      ) -> PredictionModel:
@@ -65,9 +65,9 @@ def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
     if gene_sets is not None:
         g = augment_with_pathways(g, gene_sets)
     store = ParamStore()
-    init_params(g, cfg, store, seed=protocol.seed)
+    init_params(g, conv, store, seed=protocol.seed)
     rng = np.random.default_rng(protocol.seed + 1)
-    store.register("head.w", glorot_uniform(rng, cfg.hidden_dim,
+    store.register("head.w", glorot_uniform(rng, conv.hidden_dim,
                                             target.shape[1]))
     store.register("head.b", np.zeros((1, target.shape[1])))
 
@@ -76,18 +76,18 @@ def train_prediction(g: CellFeatureGraph, target, cfg: ConvConfig,
     target_train = target[train_idx]
 
     def train_epoch(tape: Tape):
-        h_hat = forward(tape, g, cfg)
+        h_hat = forward(tape, g, conv)
         pred = tape.affine(h_hat, tape.param("head.w"), tape.param("head.b"))
         return tape.rmse(tape.take(pred, train_idx), target_train)
 
     def validate() -> float:
-        pred = _predict(store, g, cfg)
+        pred = _predict(store, g, conv)
         return rmse_loss(pred[val_idx], target[val_idx])
 
     best_val, best_epoch, history = run_training(
         store, train_epoch, validate, protocol, PREDICTION_LR
     )
-    return PredictionModel(store, cfg, g, best_val, best_epoch, history,
+    return PredictionModel(store, conv, g, best_val, best_epoch, history,
                            train_idx, val_idx)
 
 

@@ -22,7 +22,7 @@ from cellgraph.linalg import SparseMatrix, symmetric_edge_normalize
 from cellgraph.metrics import (aggregate, cell_type_asw, graph_connectivity,
                                knn_graph, nmi, nmi_cluster_label,
                                trajectory_conservation)
-from cellgraph.tasks import (EmbedConfig, MatcherConfig, TrainProtocol,
+from cellgraph.tasks import (MatcherConfig, TrainProtocol,
                              match_inference, match_scores,
                              pca_concat_baseline, score_probabilities,
                              svd_linear_baseline, train_joint_embedding,
@@ -51,15 +51,16 @@ def matching_runs():
     runs = {}
     for seed in MATCH_SEEDS:
         for variant in ("full", "no_propagation", "no_aux"):
+            conv = ConvConfig(n_layers=3, hidden_dim=64, dropout_rate=0.5)
             cfg = MatcherConfig()
             if variant == "no_propagation":
-                cfg.conv.n_layers = 0
+                conv.n_layers = 0
             if variant == "no_aux":
                 cfg.aux_weight = 0.0
             start = time.perf_counter()
             model = train_matcher(ds.modality_1, ds.modality_2,
-                                  ds.correspondence, _match_protocol(seed),
-                                  cfg)
+                                  ds.correspondence, conv,
+                                  _match_protocol(seed), cfg)
             output = model.infer(ds.batch_labels, ds.batch_labels_2())
             elapsed = time.perf_counter() - start
             runs[(seed, variant)] = {
@@ -195,8 +196,8 @@ def test_criterion_08_joint_embedding_skill():
         protocol = TrainProtocol(patience_epochs=100, max_epochs=500,
                                  seed=seed, weight_decay=1e-4)
         model = train_joint_embedding(ds.modality_1, m2,
-                                      ds.cell_type_labels, protocol,
-                                      EmbedConfig())
+                                      ds.cell_type_labels, ConvConfig(),
+                                      protocol)
         score = nmi_cluster_label(knn_graph(model.embed(), 15),
                                   ds.cell_type_labels, seed=0)
         margins.append(score - baseline)

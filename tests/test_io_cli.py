@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from cellgraph import cli
 from cellgraph.autodiff import ParamStore, load_checkpoint
 from cellgraph.cli import cli_dispatch
 from cellgraph.config import (ConfigError, RunConfig, apply_setting,
@@ -21,7 +22,7 @@ from cellgraph.data import (Dataset, generate_synthetic, load_dataset,
                             write_real_array, write_sparse_matrix)
 from cellgraph.graph import EdgeScaling, augment_with_pathways, build_bipartite
 from cellgraph.linalg import SparseMatrix
-from cellgraph.tasks import MatcherConfig
+from cellgraph.tasks import EmbedConfig, MatcherConfig, TrainProtocol
 
 
 class TestSparseMatrixFile:
@@ -68,6 +69,15 @@ class TestSparseMatrixFile:
         path.write_text("%%MatrixMarket matrix coordinate real general\n"
                         "2 2 1\n1 x 1.0\n")
         with pytest.raises(ValueError, match=":3:.*non-numeric"):
+            load_sparse_matrix(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_reports_line(self, tmp_path, token):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        f"2 2 2\n1 1 1.0\n2 1 {token}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f":4: non-numeric or non-finite entry: '2 1 {token}'")):
             load_sparse_matrix(path)
 
     def test_negative_size_reports_line(self, tmp_path):
@@ -213,11 +223,12 @@ class TestGenerateSynthetic:
         save_dataset(generate_synthetic(40, seed=8), tmp_path)
         path = tmp_path / name
         lines = path.read_text().splitlines()
-        lines[4] = "0.5.1"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}:5: ")
-                           + "not a number"):
-            load_dataset(tmp_path)
+        for token in ("0.5.1", "nan", "inf", "1e400"):
+            lines[4] = token
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}:5: not a finite number: '{token}'")):
+                load_dataset(tmp_path)
 
     def test_aligned_modality_2_permutes_rows_sparsely(self):
         ds = generate_synthetic(40, seed=8)
@@ -324,21 +335,23 @@ class TestConfig:
         assert cfg.conv_config("match").n_layers == 3
         assert cfg.conv_config("embed").n_layers == 2
 
-    def test_conv_settings_reach_matcher_and_embed(self):
-        cfg = RunConfig()
-        for setting in ["conv.hidden_dim=24", "conv.dropout=0.1",
-                        "conv.alpha=learnable", "conv.residual=skip",
-                        "conv.norm=min_max", "conv.groups=3"]:
-            apply_setting(cfg, *setting.split("="))
+    def test_conv_settings_reach_matcher_and_embed(self, synth_dir,
+                                                   monkeypatch):
+        settings = ["conv.hidden_dim=24", "conv.dropout=0.1",
+                    "conv.alpha=learnable", "conv.residual=skip",
+                    "conv.norm=min_max", "conv.groups=3", "seed=4",
+                    "match.percentile=90", "match.aux_weight=0.5",
+                    "embed.beta=0.2", "embed.lsi_rank=8"]
         want = ConvConfig(hidden_dim=24, dropout_rate=0.1, alpha="learnable",
                           residual_mode="skip",
                           aggregation_norm=EdgeScaling.MIN_MAX, n_groups=3)
-        matcher = cfg.matcher_config()
-        assert matcher.conv == dataclasses.replace(want, n_layers=3)
-        assert cfg.embed_config().conv == dataclasses.replace(want, n_layers=2)
-        # the run's conv replaces the matcher's own, and nothing else moves
-        default = MatcherConfig()
-        assert dataclasses.replace(matcher, conv=default.conv) == default
+        for command, layers, task_cfg in (
+                ("match", 3, MatcherConfig(percentile=90, aux_weight=0.5)),
+                ("embed", 2, EmbedConfig(beta=0.2, lsi_rank=8))):
+            assert handed_to_trainer(monkeypatch, synth_dir, command,
+                                     settings) == (
+                dataclasses.replace(want, n_layers=layers),
+                TrainProtocol(seed=4), task_cfg)
 
     def test_train_seed_reaches_the_protocol(self):
         cfg = RunConfig()
@@ -347,21 +360,16 @@ class TestConfig:
         apply_setting(cfg, "seed", "7")
         assert cfg.train.seed == 7 and cfg.protocol().seed == 7
 
-    def test_conv_n_layers_reaches_the_network(self):
+    def test_conv_n_layers_reaches_the_network(self, synth_dir,
+                                               monkeypatch):
         cfg = RunConfig()
         cfg.conv.n_layers = 3
         assert [cfg.conv_config(task).n_layers
                 for task in ("predict", "match", "embed")] == [3, 3, 3]
-        assert cfg.matcher_config().conv.n_layers == 3
-        assert cfg.embed_config().conv.n_layers == 3
-
-    @pytest.mark.parametrize("name", ["match", "embed"])
-    def test_task_conv_is_rejected_naming_the_conv_keys(self, name):
-        cfg = RunConfig(task=name)
-        getattr(cfg, name).conv = ConvConfig(hidden_dim=16)
-        with pytest.raises(ConfigError, match=rf"^{name}\.conv is set by "
-                           r"the conv\.\* keys"):
-            cfg.validate()
+        for command in ("match", "embed"):
+            conv, _, _ = handed_to_trainer(monkeypatch, synth_dir, command,
+                                           ["conv.n_layers=1"])
+            assert conv.n_layers == 1
 
     @pytest.mark.parametrize("command", ["predict", "match", "embed"])
     def test_bad_norm_exit_1_naming_the_key(self, tmp_path, command, capsys):
@@ -374,6 +382,22 @@ class TestConfig:
 
 def run_cli(*args):
     return cli_dispatch(list(args))
+
+
+def handed_to_trainer(monkeypatch, data, command, settings):
+    """The (conv, protocol, task config) that `cellgraph command` hands
+    its trainer, which is stubbed out to stop the run before training."""
+    handed = []
+
+    def stub(m1, m2, labels, *args):
+        handed.extend(args)
+        raise RuntimeError("stub trainer")
+
+    name = {"match": "train_matcher", "embed": "train_joint_embedding"}
+    monkeypatch.setattr(cli, name[command], stub)
+    flags = [arg for kv in settings for arg in ("--set", kv)]
+    assert run_cli(command, "--data", str(data), *flags) == 2
+    return tuple(handed)
 
 
 @pytest.fixture(scope="module")
@@ -445,7 +469,10 @@ class TestCli:
         ("predict", "train.lr_decay_rate=0"), ("match", "match.aux_weight=-1"),
         ("match", "match.reduce_rank=0"), ("embed", "embed.beta=-1"),
         ("embed", "embed.lsi_rank=0"), ("synth", "synth.types=1"),
-        ("synth", "synth.batches=0")])
+        ("synth", "synth.batches=0"), ("synth", "synth.cells=0"),
+        ("synth", "synth.cells=1"), ("synth", "synth.dim1=0"),
+        ("synth", "synth.dim2=0"), ("synth", "synth.noise=-0.1"),
+        ("synth", "synth.dropout=1.5"), ("synth", "synth.dropout=-0.1")])
     def test_out_of_range_setting_exit_1_naming_the_key(
             self, tmp_path, command, setting, capsys):
         # each fails before the (missing) dataset is read, and synth

@@ -200,11 +200,10 @@ class TestMatchBlocks:
         for name in ("matmul", "affine"):
             monkeypatch.setattr(Tape, name, recording(getattr(Tape, name)))
         ds = generate_synthetic(n_cells=600, seed=3)
-        cfg = MatcherConfig(reduce_rank=12)
-        cfg.conv.hidden_dim = 16
+        conv = ConvConfig(n_layers=3, hidden_dim=16, dropout_rate=0.5)
         protocol = TrainProtocol(patience_epochs=2, max_epochs=2, seed=0)
         train_matcher(ds.modality_1, ds.modality_2, ds.correspondence,
-                      protocol, cfg)
+                      conv, protocol, MatcherConfig(reduce_rank=12))
         n_train = len(split_cells(600, protocol.split_fraction, 0)[0])
         assert n_train > 128
         assert (n_train, 16) in shapes  # the MLP ran on the training rows
@@ -212,15 +211,15 @@ class TestMatchBlocks:
 
     def test_zero_aux_weight_trains_no_aux_networks(self):
         ds = generate_synthetic(n_cells=60, seed=3)
+        conv = ConvConfig(n_layers=3, hidden_dim=8, dropout_rate=0.5)
         cfg = MatcherConfig(reduce_rank=6, aux_weight=0.0)
-        cfg.conv.hidden_dim = 8
         protocol = TrainProtocol(patience_epochs=2, max_epochs=2, seed=0)
         model = train_matcher(ds.modality_1, ds.modality_2,
-                              ds.correspondence, protocol, cfg)
+                              ds.correspondence, conv, protocol, cfg)
         assert not [n for n in model.store.names() if n.startswith("aux")]
         cfg.aux_weight = 1.0
         model = train_matcher(ds.modality_1, ds.modality_2,
-                              ds.correspondence, protocol, cfg)
+                              ds.correspondence, conv, protocol, cfg)
         assert "aux1.w1" in model.store
 
 
@@ -638,11 +637,11 @@ class TestTrainJointEmbedding:
 
     def test_embedding_keeps_cell_type_dims(self):
         ds = self._dataset()
-        cfg = EmbedConfig(lsi_rank=16)
-        cfg.conv.hidden_dim = 24
         protocol = TrainProtocol(patience_epochs=20, max_epochs=60, seed=0)
         model = train_joint_embedding(ds.modality_1, ds.modality_2_aligned(),
-                                      ds.cell_type_labels, protocol, cfg)
+                                      ds.cell_type_labels,
+                                      ConvConfig(hidden_dim=24), protocol,
+                                      EmbedConfig(lsi_rank=16))
         assert model.n_types == 3
         assert model.embed().shape == (150, 24)
 
@@ -650,13 +649,12 @@ class TestTrainJointEmbedding:
         ds = self._dataset()
 
         def run():
-            cfg = EmbedConfig(lsi_rank=12)
-            cfg.conv.hidden_dim = 16
             protocol = TrainProtocol(patience_epochs=10, max_epochs=25,
                                      seed=5)
             model = train_joint_embedding(
                 ds.modality_1, ds.modality_2_aligned(),
-                ds.cell_type_labels, protocol, cfg)
+                ds.cell_type_labels, ConvConfig(hidden_dim=16), protocol,
+                EmbedConfig(lsi_rank=12))
             return model.embed()
 
         assert np.array_equal(run(), run())
@@ -667,7 +665,8 @@ class TestTrainJointEmbedding:
             ds.modality_1.to_dense()[:100])
         with pytest.raises(ValueError, match="row-aligned"):
             train_joint_embedding(small, ds.modality_2_aligned(),
-                                  ds.cell_type_labels, TrainProtocol())
+                                  ds.cell_type_labels, ConvConfig(),
+                                  TrainProtocol())
 
 
 class TestSplitCells:
@@ -680,3 +679,8 @@ class TestSplitCells:
     def test_validation_never_empty(self):
         train, val = split_cells(3, 0.99, seed=0)
         assert len(val) >= 1
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_cells_rejected(self, n):
+        with pytest.raises(ValueError, match=f"at least 2 cells.*got {n}$"):
+            split_cells(n, 0.85, seed=0)
