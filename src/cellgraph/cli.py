@@ -234,7 +234,11 @@ def _metric_suite(embedding, cell_types, batch_labels, knn_k,
     g = met.knn_graph(embedding, knn_k)
     nmi_score = met.nmi_cluster_label(g, cell_types, seed)
     asw = met.cell_type_asw(embedding, cell_types)
-    basw = met.batch_asw(embedding, batch_labels, cell_types)
+    try:
+        basw = met.batch_asw(embedding, batch_labels, cell_types)
+    except met.NoBatchMixing as exc:
+        warnings.warn(f"{exc}; batch ASW is left out (nan)")
+        basw = float("nan")
     connectivity = met.graph_connectivity(g, cell_types)
     traj = cc = float("nan")
     if pseudotime_before is not None:

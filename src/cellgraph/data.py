@@ -7,8 +7,10 @@ gene sets, and flat key-value reports. Everything round-trips exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +110,105 @@ def _finite_float(text: str) -> float:
 # coordinate matrix format
 
 
+# the loader reads entries in chunks of this many bytes, each cut at its
+# last newline; entries are about 25 bytes, so a chunk holds about 2.6k
+_CHUNK_BYTES = 1 << 16
+# the only bytes chunk parsing accepts; anything else (nan, 1_0, \r, \x0c,
+# NBSP, non-ASCII digits) goes to the line loop
+_ENTRY_BYTES = b"0123456789.+-eE \t\n"
+_ENTRY_DTYPE = np.dtype([("row", np.int64), ("col", np.int64),
+                         ("value", np.float64)])
+
+
 def load_sparse_matrix(path) -> SparseMatrix:
-    """Parse a coordinate-format text matrix; duplicates are summed."""
+    """Parse a coordinate-format text matrix; duplicates are summed.
+
+    Entries are parsed a chunk at a time by np.loadtxt. A file that the
+    chunks do not accept as it stands goes to `_load_sparse_lines`, which
+    decides what is accepted and formats every error, so both paths accept
+    the same files with the same arrays.
+    """
+    m = _load_sparse_chunks(path) if _loadtxt_ints_strict() else None
+    return m if m is not None else _load_sparse_lines(path)
+
+
+@functools.cache
+def _loadtxt_ints_strict() -> bool:
+    """Whether np.loadtxt rejects `1.0`, `1e0` and `1.5` as integers with
+    DeprecationWarning ignored. From numpy 1.23 it parsed them via a float
+    with only that warning (chained into its ValueError when the warning is
+    an error); under such a numpy every file takes the line loop."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        for token in ("1.0", "1e0", "1.5"):
+            try:
+                np.loadtxt([token], dtype=np.int64)
+            except ValueError:
+                continue
+            return False
+    return True
+
+
+def _load_sparse_chunks(path) -> SparseMatrix | None:
+    """The matrix, or None if anything about the file is unusual."""
+    header = MTX_HEADER.encode() + b"\n"
+    with open(path, "rb") as fh:
+        if fh.read(len(header)) != header:
+            return None
+        size = fh.readline(_CHUNK_BYTES)
+        if not size.endswith(b"\n") or size.translate(None, _ENTRY_BYTES):
+            return None
+        try:
+            n_rows, n_cols, nnz = (int(tok) for tok in size.split())
+        except ValueError:
+            return None
+        if min(n_rows, n_cols, nnz) < 0:
+            return None
+        parts, carry = [np.empty(0, _ENTRY_DTYPE)], b""
+        while chunk := fh.read(_CHUNK_BYTES):
+            body = carry + chunk
+            cut = body.rfind(b"\n") + 1
+            body, carry = body[:cut], body[cut:]
+            if len(carry) >= _CHUNK_BYTES or not _parse_entries(
+                    body, n_rows, n_cols, parts):
+                return None
+        if not _parse_entries(carry, n_rows, n_cols, parts):
+            return None
+    if sum(len(p) for p in parts) != nnz:
+        return None
+    # one block of all entries, freed once the matrix is built: glibc then
+    # keeps later arrays up to its size on the heap. Per-field arrays left
+    # the training arrays to fresh mmaps (4x predict's page faults).
+    entries = np.concatenate(parts)
+    del parts
+    return SparseMatrix.from_coo(n_rows, n_cols, entries["row"] - 1,
+                                 entries["col"] - 1, entries["value"])
+
+
+def _parse_entries(body: bytes, n_rows, n_cols, parts: list) -> bool:
+    """Append body's entries to parts; False if any byte, token or entry
+    is unusual."""
+    if body.translate(None, _ENTRY_BYTES):
+        return False
+    if not body.strip():
+        return True
+    try:
+        entries = np.loadtxt(body.decode("ascii").splitlines(),
+                             dtype=_ENTRY_DTYPE, comments=None, ndmin=1)
+    except (ValueError, OverflowError):
+        return False
+    rows, cols = entries["row"], entries["col"]
+    if not (np.isfinite(entries["value"]).all()
+            and rows.min() >= 1 and rows.max() <= n_rows
+            and cols.min() >= 1 and cols.max() <= n_cols):
+        return False
+    parts.append(entries)
+    return True
+
+
+def _load_sparse_lines(path) -> SparseMatrix:
+    """The line loop: one Python parse per entry, and every error message
+    with its `path:line:`."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != MTX_HEADER:

@@ -88,11 +88,18 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, vals, sum_duplicates=True):
-        """Build from triplets; duplicate (row, col) entries are summed."""
+        """Build from triplets; duplicate (row, col) entries are summed.
+
+        Triplets already in order are kept as given, so the matrix may
+        share the caller's arrays.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
-        if len(rows):
+        # triplets already in strictly increasing (row, col) order, as the
+        # writers and from_dense give them, need neither sort nor summing
+        d_rows = np.diff(rows)
+        if not np.all((d_rows > 0) | ((d_rows == 0) & (np.diff(cols) > 0))):
             order = np.lexsort((cols, rows))
             rows, cols, vals = rows[order], cols[order], vals[order]
             if sum_duplicates:
@@ -102,6 +109,9 @@ class SparseMatrix:
                 summed = np.zeros(group[-1] + 1)
                 np.add.at(summed, group, vals)
                 rows, cols, vals = rows[keep], cols[keep], summed
+        elif sum_duplicates:
+            # as summing onto zeros would: -0.0 is stored as 0.0
+            vals = vals + 0.0
         offsets = np.zeros(n_rows + 1, dtype=np.int64)
         np.add.at(offsets, rows + 1, 1)
         offsets = np.cumsum(offsets)

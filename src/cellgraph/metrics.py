@@ -325,6 +325,10 @@ def cell_type_asw(embedding, cell_types) -> float:
             + 1.0) / 2.0
 
 
+class NoBatchMixing(ValueError):
+    """No labeled cell type holds two batches, so batch ASW is undefined."""
+
+
 def batch_asw(embedding, batch_labels, cell_types) -> float:
     """Batch-mixing score: mean over cell types of mean(1 - |s|).
 
@@ -342,7 +346,7 @@ def batch_asw(embedding, batch_labels, cell_types) -> float:
         s = _silhouette_samples(pts[members], batches[members])
         scores.append(float((1.0 - np.abs(s)).mean()))
     if not scores:
-        raise ValueError("no cell type contains two or more batches")
+        raise NoBatchMixing("no cell type contains two or more batches")
     return float(np.mean(scores))
 
 
@@ -442,11 +446,12 @@ class MetricReport:
 
 def aggregate(nmi_score, cell_type_asw_score, cc_score, trajectory_score,
               batch_asw_score, connectivity_score) -> MetricReport:
-    """Equal weights within each class, then 0.6 bio + 0.4 batch. A bio
-    metric given as nan (its input missing) is left out of s_bio."""
+    """Equal weights within each class, then 0.6 bio + 0.4 batch. A metric
+    given as nan (its input missing or one batch only) is left out of its
+    class's score."""
     s_bio = float(np.nanmean([nmi_score, cell_type_asw_score, cc_score,
                               trajectory_score]))
-    s_batch = float(np.mean([batch_asw_score, connectivity_score]))
+    s_batch = float(np.nanmean([batch_asw_score, connectivity_score]))
     return MetricReport(
         nmi=nmi_score,
         cell_type_asw=cell_type_asw_score,

@@ -5,21 +5,25 @@ import importlib
 import os
 import pathlib
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from cellgraph import cli
+from cellgraph import cli, data
 from cellgraph.autodiff import ParamStore, load_checkpoint
 from cellgraph.cli import cli_dispatch
 from cellgraph.config import (ConfigError, RunConfig, apply_setting,
                               load_config_file)
 from cellgraph.convnet import ConvConfig, init_params
-from cellgraph.data import (Dataset, generate_synthetic, load_dataset,
-                            load_gene_sets, load_labels, load_real_array,
-                            load_sparse_matrix, read_kv, save_dataset,
-                            write_dense_matrix, write_kv, write_labels,
-                            write_real_array, write_sparse_matrix)
+from cellgraph.data import (Dataset, _load_sparse_chunks,
+                            _load_sparse_lines, generate_synthetic,
+                            load_dataset, load_gene_sets, load_labels,
+                            load_real_array, load_sparse_matrix, read_kv,
+                            save_dataset, write_dense_matrix, write_kv,
+                            write_labels, write_real_array,
+                            write_sparse_matrix)
 from cellgraph.graph import EdgeScaling, augment_with_pathways, build_bipartite
 from cellgraph.linalg import SparseMatrix
 from cellgraph.tasks import EmbedConfig, MatcherConfig, TrainProtocol
@@ -86,6 +90,176 @@ class TestSparseMatrixFile:
                         "-1 3 0\n")
         with pytest.raises(ValueError, match=":2: negative size"):
             load_sparse_matrix(path)
+
+
+MTX = "%%MatrixMarket matrix coordinate real general\n"
+
+
+def same_as_line_loop(path):
+    """load_sparse_matrix accepts path with the line loop's arrays, bit for
+    bit, or rejects it with the line loop's message."""
+    try:
+        expected = _load_sparse_lines(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as caught:
+            load_sparse_matrix(path)
+        assert str(caught.value) == str(exc)
+        return
+    got = load_sparse_matrix(path)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.row_offsets, expected.row_offsets)
+    assert np.array_equal(got.col_indices, expected.col_indices)
+    assert np.array_equal(got.values.view(np.int64),
+                          expected.values.view(np.int64))
+
+
+def index_case(tok):
+    return f"12 12 2\n{tok} 1 1.0\n2 {tok} 2.0\n"
+
+
+def value_case(tok):
+    return f"2 2 2\n1 1 {tok}\n2 2 1.0\n"
+
+
+class TestChunkedLoader:
+    """The chunks accept plain files; the line loop decides the rest."""
+
+    @pytest.mark.parametrize("body,chunks", [
+        *((index_case(tok), tok in ("+1", "007")) for tok in
+          ("+1", "007", "-0", "1_0", "1e0", "1.5", "99999999999999999999")),
+        *((value_case(tok), tok not in ("1_0", "nan", "inf", "1e400"))
+          for tok in (".5", "5.", "+1", "1_0", "nan", "inf", "1e400",
+                      "1e-400", "-0.0", "1E-3", "-7.25e+02")),
+        ("3 3 1\n\u0663 1 1.0\n", False),  # a non-ASCII digit
+        ("3 3 1\n1\u00a01 1.0\n", False),  # NBSP between tokens
+        ("3 3 2\n1 1\x0c1.0\n2 2 2.0\n", False),  # \x0c splits a line
+        ("3 3 2\r\n1 1 1.0\r\n2 2 2.0\r\n", False),
+        ("3 3 2\n1\t1\t1.0\n2 \t2  2.0\n", True),
+        ("3 3 2\n\n  \n1 1 1.0\n\t\n2 2 2.0\n \n", True),
+        ("3 3 2\n1 1 1.0\n2 2 2.0", True),  # no final newline
+        ("3 3 2\n1 1\n1 1 1.0 2\n", False),
+        ("3 3 2\n3 3 1.0\n1 1 2.0\n3 3 0.5\n", False),  # one too many
+        ("3 3 0\n", True),
+        ("3 3 0", False),  # the size line has no newline
+        ("3 3\n", False),
+        # a size line longer than a chunk, whose first chunk would parse
+        ("3 3 1" + " " * data._CHUNK_BYTES + "1 1 1.0\n", False),
+        ("3 3 1\n1 1 1.0" + " " * data._CHUNK_BYTES + "\n", False),
+        ("", False),
+    ])
+    def test_same_as_line_loop(self, tmp_path, body, chunks):
+        path = tmp_path / "m.mtx"
+        path.write_bytes((MTX + body).encode())
+        same_as_line_loop(path)
+        if data._loadtxt_ints_strict():
+            assert (_load_sparse_chunks(path) is not None) == chunks
+
+    def test_probe_agrees_with_loadtxt(self):
+        # with the warning shown, not raised: where loadtxt still parses
+        # any of these as an integer, the probe must keep the chunks off
+        rejected = []
+        for tok in ("1.0", "1e0", "1.5"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("default")
+                try:
+                    np.loadtxt([tok], dtype=np.int64)
+                except ValueError:
+                    rejected.append(tok)
+        assert data._loadtxt_ints_strict() == (len(rejected) == 3)
+
+    def test_float_parsing_numpy_takes_line_loop(self, tmp_path,
+                                                  monkeypatch):
+        def loadtxt(lines, dtype, **kwargs):
+            # numpy 1.23's integer fields: a float parse with a
+            # DeprecationWarning, chained into a ValueError if it is raised
+            try:
+                warnings.warn("parsing an integer via a float",
+                              DeprecationWarning)
+            except DeprecationWarning as exc:
+                raise ValueError(f"could not convert {lines[0]!r}") from exc
+            return np.array([int(float(lines[0]))], dtype)
+
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX + index_case("1.5"))
+        monkeypatch.setattr(data.np, "loadtxt", loadtxt)
+        data._loadtxt_ints_strict.cache_clear()
+        try:
+            assert not data._loadtxt_ints_strict()
+            with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
+                load_sparse_matrix(path)
+        finally:
+            data._loadtxt_ints_strict.cache_clear()
+
+    def test_unsorted_duplicates_bitwise(self, tmp_path):
+        rng = np.random.default_rng(5)
+        lines = [f"{r} {c} {v!r}" for r, c, v in zip(
+            rng.integers(1, 6, 400), rng.integers(1, 4, 400),
+            rng.standard_normal(400).tolist())]
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX + "5 3 400\n" + "\n".join(lines) + "\n")
+        same_as_line_loop(path)
+        assert _load_sparse_chunks(path) is not None
+
+    @pytest.mark.parametrize("bad,lead,message", [
+        ("1 x 1.0", 0, "non-numeric"),  # starts exactly at a chunk edge
+        ("3 1 1.0", 3, r"index \(3, 1\) out of range"),  # straddles it
+    ])
+    def test_bad_line_at_chunk_edge(self, tmp_path, bad, lead, message):
+        size = "2 2 9999\n"
+        # entries start after the size line; the bad line starts `lead`
+        # bytes before the first chunk's end
+        room = data._CHUNK_BYTES - lead
+        fill = ["1 1 1.0\n"] * (room // 8 - 1)
+        fill.append(" " * (room - 8 * len(fill) - 8) + "1 1 1.0\n")
+        assert sum(map(len, fill)) == room
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX + size + "".join(fill) + bad + "\n1 1 1.0\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:{len(fill) + 3}: ") + message):
+            load_sparse_matrix(path)
+        same_as_line_loop(path)
+
+    def test_empty_matrix_loads_without_warning(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX + "3 4 0\n\n \n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = load_sparse_matrix(path)
+        assert m.shape == (3, 4) and m.nnz == 0
+
+    def test_huge_promise_allocates_nothing_large(self, tmp_path):
+        path = tmp_path / "m.mtx"
+        path.write_text(MTX + "1000000 1000000 1000000000000\n"
+                        "1 1 1.0\n2 2 2.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="header promised "
+                                                 "1000000000000 entries"):
+                load_sparse_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_load_peak_within_three_entry_arrays(self, tmp_path):
+        rng = np.random.default_rng(17)
+        n_rows, n_cols, nnz = 4000, 2000, 160_000
+        flat = rng.choice(n_rows * n_cols, nnz, replace=False)
+        m = SparseMatrix.from_coo(n_rows, n_cols, flat // n_cols,
+                                  flat % n_cols, rng.standard_normal(nnz))
+        path = tmp_path / "m.mtx"
+        write_sparse_matrix(m, path)
+        assert os.path.getsize(path) > 4_000_000
+        tracemalloc.start()
+        try:
+            loaded = load_sparse_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.values, m.values)
+        # the row, column and value arrays (24 bytes an entry) three times
+        # over: reading the whole file or parsing it into lists breaks this
+        assert peak <= 3 * nnz * 24 + (1 << 20)
 
 
 class TestLabels:
@@ -571,6 +745,18 @@ class TestCli:
                                "trajectory_conservation", "batch_asw",
                                "graph_connectivity", "s_bio", "s_batch",
                                "overall"}
+
+    def test_embed_single_batch_leaves_batch_asw_out(self, tmp_path):
+        data_dir, out = tmp_path / "data", tmp_path / "embed"
+        assert run_cli("synth", "--cells", "80", "--batches", "1",
+                       "--seed", "1", "--out", str(data_dir)) == 0
+        with pytest.warns(UserWarning, match="batch ASW is left out"):
+            code = run_cli("embed", "--data", str(data_dir), "--seed", "1",
+                           "--out", str(out), *fast_overrides())
+        assert code == 0
+        metrics = read_kv(out / "metrics.kv")
+        assert metrics["batch_asw"] == "nan"
+        assert metrics["s_batch"] == metrics["graph_connectivity"]
 
     def test_eval_minimal_inputs_has_nine_keys(self, synth_dir, tmp_path):
         emb_out = tmp_path / "embed2"

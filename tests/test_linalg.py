@@ -51,6 +51,55 @@ class TestSparseMatrix:
         assert m.to_dense()[0, 1] == 3.5
 
 
+def lexsort_then_sum(n_rows, rows, cols, vals):
+    """CSR arrays of the triplets: a stable sort by (row, col), then each
+    run of one key summed onto 0.0 in order."""
+    keys, sums = [], []
+    for i in np.lexsort((cols, rows)):
+        key = (rows[i], cols[i])
+        if not keys or keys[-1] != key:
+            keys.append(key)
+            sums.append(0.0)
+        sums[-1] += vals[i]
+    counts = np.bincount([r for r, _ in keys], minlength=n_rows)
+    return (np.concatenate(([0], np.cumsum(counts))),
+            np.array([c for _, c in keys], dtype=np.int64),
+            np.array(sums, dtype=np.float64))
+
+
+class TestFromCoo:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_lexsort_then_sum(self, data):
+        n_rows = data.draw(st.integers(1, 6))
+        n_cols = data.draw(st.integers(1, 6))
+        cells = st.tuples(st.integers(0, n_rows - 1),
+                          st.integers(0, n_cols - 1))
+        keys = sorted(data.draw(st.sets(cells, max_size=20)))
+        order = data.draw(st.sampled_from(["sorted", "shuffled",
+                                           "duplicates"]))
+        if order == "shuffled":
+            keys = data.draw(st.permutations(keys))
+        elif order == "duplicates" and keys:
+            keys = data.draw(st.permutations(
+                keys + data.draw(st.lists(st.sampled_from(keys), min_size=1,
+                                          max_size=10))))
+        vals = data.draw(st.lists(
+            st.floats(-1e300, 1e300)
+            | st.sampled_from([0.0, -0.0, 5e-324]),
+            min_size=len(keys), max_size=len(keys)))
+        rows = np.array([r for r, _ in keys], dtype=np.int64)
+        cols = np.array([c for _, c in keys], dtype=np.int64)
+        vals = np.array(vals, dtype=np.float64)
+        m = SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
+        offsets, col_indices, values = lexsort_then_sum(n_rows, rows, cols,
+                                                        vals)
+        assert np.array_equal(m.row_offsets, offsets)
+        assert np.array_equal(m.col_indices, col_indices)
+        assert np.array_equal(m.values.view(np.int64),
+                              values.view(np.int64))
+
+
 class TestSpmm:
     def test_identity(self):
         b = np.array([[3.0, 4.0], [5.0, 6.0]])
