@@ -233,7 +233,13 @@ def _metric_suite(embedding, cell_types, batch_labels, knn_k,
     """The six metrics on one kNN graph; a missing input's metric is nan."""
     g = met.knn_graph(embedding, knn_k)
     nmi_score = met.nmi_cluster_label(g, cell_types, seed)
-    asw = met.cell_type_asw(embedding, cell_types)
+    types = np.asarray(cell_types)
+    if len(np.unique(types[types >= 0])) > 1:
+        asw = met.cell_type_asw(embedding, cell_types)
+    else:
+        warnings.warn("fewer than 2 labeled cell types; cell-type ASW is "
+                      "left out (nan)")
+        asw = float("nan")
     try:
         basw = met.batch_asw(embedding, batch_labels, cell_types)
     except met.NoBatchMixing as exc:
@@ -279,6 +285,9 @@ def _run_eval(args, cfg: RunConfig) -> int:
         if values is not None and len(values) != n:
             raise ValueError(f"{path}: {len(values)} entries, but the "
                              f"embedding {args.embedding} has {n} rows")
+    if not (cell_types >= 0).any():
+        raise ValueError(f"{args.labels}: no labeled cell (every entry is "
+                         "NA)")
     report = _metric_suite(embedding, cell_types, batch_labels, cfg.knn_k,
                            pseudotime, cc_scores, pre_embedding,
                            cfg.train.seed)

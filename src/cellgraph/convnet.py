@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ParamStore, Tape, Var, glorot_uniform
-from .graph import CellFeatureGraph, EdgeScaling
-from .linalg import spmm, standardize_rows
+from .graph import CellFeatureGraph, EdgeScaling, build_bipartite
+from .linalg import SparseMatrix, spmm, standardize_rows
 
 TASK_LAYER_COUNTS = {"predict": 4, "match": 3, "embed": 2}
 # features start from a one-hot code up to this count, and from a learned
@@ -177,24 +177,23 @@ def readout(tape: Tape, cell_states: list[Var]) -> Var:
     return tape.scalar_mix(cell_states, tape.param("readout.w"))
 
 
-def decoupled_propagate(g: CellFeatureGraph, x_cell: np.ndarray,
-                        n_steps: int, mode: EdgeScaling) -> list[np.ndarray]:
-    """Parameter-free alternating propagation; one entry per round trip.
+def decoupled_propagate(x_cell: np.ndarray, n_steps: int,
+                        mode: EdgeScaling) -> list[np.ndarray]:
+    """[x, state_1, ..., state_n]: x and one state per round trip over the
+    graph of x itself, whose nonzero entries are its edges.
 
     Cell states go to the feature side through the transposed operator and
-    back, with edges scaled by mode. POST_NORM standardizes each hop's aggregation result in place of
-    edge normalization. Pure function of (graph, x, mode), so it is precomputed
-    once per training run.
+    back, with edges scaled by mode. POST_NORM standardizes each hop's
+    aggregation result in place of edge normalization. Parameter-free, so
+    it is precomputed once per training run.
     """
     x = np.asarray(x_cell, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != g.n_cells:
-        raise ValueError(f"x_cell must be (n_cells, f), got {x.shape}")
-    cells_from_features, features_from_cells, _ = g.operators(mode)
+    cells_from_features, features_from_cells, _ = build_bipartite(
+        SparseMatrix.from_dense(x)).operators(mode)
     post = mode is EdgeScaling.POST_NORM
-    states = []
-    current = x
+    states = [x]
     for _ in range(n_steps):
-        feat = spmm(features_from_cells, current)
+        feat = spmm(features_from_cells, states[-1])
         if post:
             feat = standardize_rows(feat)
         current = spmm(cells_from_features, feat)
@@ -208,7 +207,7 @@ def decoupled_forward(tape: Tape, states: list[np.ndarray], cfg: ConvConfig,
                       prefix: str = "") -> Var:
     """Shared 2-layer MLP over each propagated state, then the readout mix.
 
-    states must include the raw input as its first entry.
+    states is decoupled_propagate's list (or its rows), raw input first.
     """
     p = prefix
     transformed = []

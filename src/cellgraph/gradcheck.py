@@ -140,16 +140,18 @@ def matching_loss_check(seed: int) -> float:
     n, d = int(rng.integers(2, 7)), int(rng.integers(2, 7))
     store = ParamStore()
     store.register("h1", rng.standard_normal((n, d)))
-    store.register("h2", rng.standard_normal((n, d)))
+    h2 = rng.standard_normal((n, d))
     register_logit_scale(store, log_scale=rng.uniform(0.0, 3.0))
     register_aux_params(store, d, 3, 2, seed)
     truth = rng.permutation(n)
-    targets = (rng.standard_normal((n, 3)), rng.standard_normal((n, 2)))
+    # modality 2's embedding and targets in pair order
+    store.register("h2", h2[truth])
+    targets = (rng.standard_normal((n, 3)),
+               rng.standard_normal((n, 2))[truth])
 
     def build(tape: Tape):
         total, _, _ = matching_losses(tape, tape.param("h1"),
-                                      tape.param("h2"), truth,
-                                      aux_targets=targets)
+                                      tape.param("h2"), aux_targets=targets)
         return total
 
     return finite_difference_check(build, store)

@@ -10,7 +10,6 @@ import numpy as np
 from ..autodiff import ParamStore, Tape, Var, glorot_uniform
 from ..convnet import ConvConfig, decoupled_forward, decoupled_propagate, \
     init_decoupled_params
-from ..graph import build_bipartite
 from ..linalg import SparseMatrix, lsi_embedding, truncated_svd
 from .common import EpochRecord, TrainProtocol, run_training, split_cells
 
@@ -103,9 +102,7 @@ def train_joint_embedding(m1: SparseMatrix, m2: SparseMatrix, cell_types,
         lsi_embedding(m1, rank, protocol.seed),
         lsi_embedding(m2, rank, protocol.seed + 1),
     ])
-    g = build_bipartite(SparseMatrix.from_dense(x))
-    states = [x] + decoupled_propagate(g, x, conv.n_layers,
-                                       conv.aggregation_norm)
+    states = decoupled_propagate(x, conv.n_layers, conv.aggregation_norm)
 
     store = ParamStore()
     init_decoupled_params(x.shape[1], conv, store, protocol.seed)

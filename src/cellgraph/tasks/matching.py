@@ -12,7 +12,6 @@ from ..assignment import AssignmentProblem, percentile_filter, solve
 from ..autodiff import ParamStore, Tape, Var, glorot_uniform
 from ..convnet import ConvConfig, decoupled_forward, decoupled_propagate, \
     init_decoupled_params
-from ..graph import build_bipartite
 from ..linalg import SparseMatrix, l2_normalize_rows, truncated_svd
 from .common import EpochRecord, TrainProtocol, run_training, split_cells
 
@@ -35,12 +34,6 @@ def _check_bijection(truth, n: int) -> np.ndarray:
     if t.shape != (n,) or not np.array_equal(np.sort(t), np.arange(n)):
         raise ValueError("truth pairing must be a bijection on the rows")
     return t
-
-
-def _invert(t: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(t)
-    inv[t] = np.arange(len(t))
-    return inv
 
 
 def register_aux_params(store: ParamStore, d: int, f1: int, f2: int,
@@ -89,13 +82,14 @@ def _pair_blocks(tape: Tape, n: int) -> list[np.ndarray]:
             np.array_split(tape.rng.permutation(n), -(-n // MATCH_BLOCK))]
 
 
-def matching_losses(tape: Tape, h1: Var, h2: Var, truth,
-                    aux_targets=None, aux_weight: float = 1.0):
+def matching_losses(tape: Tape, h1: Var, h2: Var, aux_targets=None,
+                    aux_weight: float = 1.0):
     """(total, match, aux) loss handles; total = match + aux_weight * aux.
 
-    The match part is the bidirectional softmax cross entropy over the true
-    pairs of the cosine scores times the learned logit scale exp(s) (CLIP's
-    logit_scale, likewise exempt from weight decay). The pairs are scored
+    Row i of h1 and row i of h2 are one cell. The match part is the
+    bidirectional softmax cross entropy over these pairs of the cosine
+    scores times the learned logit scale exp(s) (CLIP's logit_scale,
+    likewise exempt from weight decay). The pairs are scored
     in random blocks of at most MATCH_BLOCK, drawn from the tape's
     generator. A block of b pairs adds the row and the column cross
     entropies of its b x b scores, each averaged over its cells, then
@@ -109,13 +103,12 @@ def matching_losses(tape: Tape, h1: Var, h2: Var, truth,
     four aux terms are summed, not averaged: each is a task of its own with
     its own target, so at aux_weight 1 every task, the match included,
     enters with weight 1 and reads 1 at its null level. Pass
-    aux_targets=(x1, x2) in each modality's own row order, or None to
+    aux_targets=(x1, x2) in the same row order as h1 and h2, or None to
     disable.
     """
     n = tape.value(h1).shape[0]
     if tape.value(h2).shape[0] != n:
         raise ValueError("h1 and h2 must pair the same number of cells")
-    t = _check_bijection(truth, n)
     # the scale multiplies h1's unit rows (n x d), which scales every score
     # block without two more score arrays on the tape
     h1n = tape.exp_scale(tape.l2_normalize_rows(h1), tape.param(LOGIT_SCALE))
@@ -123,26 +116,24 @@ def matching_losses(tape: Tape, h1: Var, h2: Var, truth,
     terms, weights = [], []
     for rows in _pair_blocks(tape, n):
         b = len(rows)
-        cols = np.sort(t[rows])  # modality-2 rows of the block's pairs
-        labels = np.searchsorted(cols, t[rows])
         a1 = tape.take(h1n, rows)
-        a2 = tape.take(h2n, cols)
+        a2 = tape.take(h2n, rows)
+        labels = np.arange(b)  # each block's true pairs lie on its diagonal
         terms += [
             tape.cross_entropy_rows(tape.matmul(a1, a2, transpose_b=True),
                                     labels),
             tape.cross_entropy_rows(tape.matmul(a2, a1, transpose_b=True),
-                                    _invert(labels))]
+                                    labels)]
         chance = np.log(b) if b > 1 else 1.0
         weights += [0.5 * (b / n) / chance] * 2
     match = tape.scalar_mix(terms, np.array(weights))
     if aux_targets is None:
         return match, match, tape.constant(np.asarray(0.0))
-    inv = _invert(t)
     x1 = _relative_targets(np.asarray(aux_targets[0], dtype=np.float64))
     x2 = _relative_targets(np.asarray(aux_targets[1], dtype=np.float64))
     aux = tape.add(
-        tape.add(tape.mse(_aux_net(tape, h1, "aux2"), x2[t]),
-                 tape.mse(_aux_net(tape, h2, "aux1"), x1[inv])),
+        tape.add(tape.mse(_aux_net(tape, h1, "aux2"), x2),
+                 tape.mse(_aux_net(tape, h2, "aux1"), x1)),
         tape.add(tape.mse(_aux_net(tape, h1, "aux1"), x1),
                  tape.mse(_aux_net(tape, h2, "aux2"), x2)),
     )
@@ -356,11 +347,9 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
     t_all = _check_bijection(correspondence, n)
     x1 = reduce_modality(m1, cfg.reduce_rank, protocol.seed)
     x2 = reduce_modality(m2, cfg.reduce_rank, protocol.seed + 1)
-    g1 = build_bipartite(SparseMatrix.from_dense(x1))
-    g2 = build_bipartite(SparseMatrix.from_dense(x2))
     mode = conv.aggregation_norm
-    states1 = [x1] + decoupled_propagate(g1, x1, conv.n_layers, mode)
-    states2 = [x2] + decoupled_propagate(g2, x2, conv.n_layers, mode)
+    states1 = decoupled_propagate(x1, conv.n_layers, mode)
+    states2 = decoupled_propagate(x2, conv.n_layers, mode)
 
     store = ParamStore()
     init_decoupled_params(x1.shape[1], conv, store, protocol.seed,
@@ -384,9 +373,8 @@ def train_matcher(m1: SparseMatrix, m2: SparseMatrix, correspondence,
     def train_epoch(tape: Tape):
         h1 = decoupled_forward(tape, train1, conv, prefix="m1.")
         h2 = decoupled_forward(tape, train2, conv, prefix="m2.")
-        total, _, _ = matching_losses(
-            tape, h1, h2, np.arange(len(train_idx)), aux_targets=aux_train,
-            aux_weight=cfg.aux_weight)
+        total, _, _ = matching_losses(tape, h1, h2, aux_targets=aux_train,
+                                      aux_weight=cfg.aux_weight)
         return total
 
     def validate() -> float:

@@ -333,37 +333,54 @@ class TestReadout:
 
 
 class TestDecoupledPropagate:
-    def test_disjoint_pairs_reflect_state(self):
-        g = toy_graph(np.eye(4))
-        x = np.random.default_rng(12).standard_normal((4, 3))
-        states = decoupled_propagate(g, x, 2, SYM)
-        assert np.allclose(states[0], x)
-        assert np.allclose(states[1], x)
+    @staticmethod
+    def assert_states(states, expected):
+        assert len(states) == len(expected)
+        for got, want in zip(states, expected):
+            assert np.allclose(got, want)
 
-    def test_zero_steps_empty_list(self):
-        g = toy_graph(np.eye(2))
-        assert decoupled_propagate(g, np.ones((2, 1)), 0, SYM) == []
+    def test_disjoint_pairs_reflect_state(self):
+        x = np.diag(np.random.default_rng(12).uniform(0.5, 2.0, 4))
+        self.assert_states(decoupled_propagate(x, 2, SYM), [x, x, x])
+
+    def test_zero_steps_input_only(self):
+        self.assert_states(decoupled_propagate(np.eye(2), 0, SYM),
+                           [np.eye(2)])
+
+    def test_first_state_is_the_input(self):
+        x = np.abs(np.random.default_rng(15).standard_normal((5, 3))) + 0.1
+        for mode in EdgeScaling:
+            assert decoupled_propagate(x, 2, mode)[0] is x
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(13)
         dense = np.abs(rng.standard_normal((6, 4))) + 0.05
-        g = toy_graph(dense)
-        x = rng.standard_normal((6, 3))
-        states = decoupled_propagate(g, x, 1, SYM)
         deg_c = dense.sum(axis=1)
         deg_f = dense.sum(axis=0)
         norm = dense / np.sqrt(np.outer(deg_c, deg_f))
-        assert np.allclose(states[0], norm @ (norm.T @ x))
+        self.assert_states(decoupled_propagate(dense, 1, SYM),
+                           [dense, norm @ (norm.T @ dense)])
+
+    def test_min_max_matches_dense_oracle(self):
+        # the stored entries' values, mapped onto [0, 1] over the stored
+        # entries alone, weigh the edges of every hop
+        rng = np.random.default_rng(16)
+        dense = rng.standard_normal((6, 4))
+        dense[1, 2] = dense[4, 0] = 0.0
+        stored = dense != 0
+        lo, hi = dense[stored].min(), dense[stored].max()
+        w = np.where(stored, (dense - lo) / (hi - lo), 0.0)
+        one = w @ (w.T @ dense)
+        self.assert_states(decoupled_propagate(dense, 2, EdgeScaling.MIN_MAX),
+                           [dense, one, w @ (w.T @ one)])
 
     def test_post_norm_standardizes_each_hop(self):
         rng = np.random.default_rng(14)
         dense = rng.standard_normal((5, 4))
-        g = toy_graph(dense)
-        x = rng.standard_normal((5, 3))
-        states = decoupled_propagate(g, x, 1, EdgeScaling.POST_NORM)
-        feat = standardize_rows(dense.T @ x)
-        expected = standardize_rows(dense @ feat)
-        assert np.allclose(states[0], expected)
+        feat = standardize_rows(dense.T @ dense)
+        self.assert_states(
+            decoupled_propagate(dense, 1, EdgeScaling.POST_NORM),
+            [dense, standardize_rows(dense @ feat)])
 
 
 class TestForward:

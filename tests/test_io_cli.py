@@ -758,6 +758,49 @@ class TestCli:
         assert metrics["batch_asw"] == "nan"
         assert metrics["s_batch"] == metrics["graph_connectivity"]
 
+    def test_single_cell_type_leaves_cell_type_asw_out(self, tmp_path):
+        data_dir, out = tmp_path / "data", tmp_path / "embed"
+        assert run_cli("synth", "--cells", "120", "--seed", "2",
+                       "--out", str(data_dir)) == 0
+        types = data_dir / "types.txt"
+        types.write_text("T0\n" * len(types.read_text().splitlines()))
+        with pytest.warns(UserWarning, match="cell-type ASW is left out"):
+            code = run_cli("embed", "--data", str(data_dir), "--seed", "2",
+                           "--out", str(out), *fast_overrides())
+        assert code == 0
+        eval_out = tmp_path / "eval"
+        with pytest.warns(UserWarning, match="left out") as caught:
+            code = run_cli("eval", "--embedding", str(out / "embedding.mtx"),
+                           "--labels", str(types),
+                           "--batches", str(data_dir / "batches.txt"),
+                           "--pseudotime", str(data_dir / "pseudotime.txt"),
+                           "--knn-k", "6", "--out", str(eval_out))
+        assert code == 0
+        assert any("cell-type ASW is left out" in str(w.message)
+                   for w in caught)
+        for report in (read_kv(out / "metrics.kv"),
+                       read_kv(eval_out / "metrics.kv")):
+            assert report["cell_type_asw"] == "nan"
+            others = [float(report[name]) for name in
+                      ("nmi", "cc_conservation", "trajectory_conservation")
+                      if report[name] != "nan"]
+            assert float(report["s_bio"]) == pytest.approx(np.mean(others),
+                                                           abs=1e-6)
+
+    def test_eval_without_labeled_cells_exit_2(self, synth_dir, tmp_path,
+                                               capsys):
+        emb = tmp_path / "embedding.mtx"
+        write_dense_matrix(np.random.default_rng(5).standard_normal((120, 5)),
+                           emb)
+        labels = tmp_path / "types.txt"
+        labels.write_text("NA\n" * 120)
+        assert run_cli("eval", "--embedding", str(emb),
+                       "--labels", str(labels),
+                       "--batches", str(synth_dir / "batches.txt"),
+                       "--knn-k", "6", "--out", str(tmp_path / "eval")) == 2
+        assert f"{labels}: no labeled cell" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.kv").exists()
+
     def test_eval_minimal_inputs_has_nine_keys(self, synth_dir, tmp_path):
         emb_out = tmp_path / "embed2"
         assert run_cli("embed", "--data", str(synth_dir), "--seed", "2",

@@ -24,13 +24,13 @@ from cellgraph.tasks.embedding import EMBED_LR
 from cellgraph.metrics import nmi_cluster_label
 
 
-def match_loss_values(h1, h2, truth, store=None, aux=None, aux_weight=1.0,
+def match_loss_values(h1, h2, store=None, aux=None, aux_weight=1.0,
                       log_scale=0.0):
     store = store or ParamStore()
     register_logit_scale(store, log_scale=log_scale)
     tape = Tape(store, train=False)
     total, match, aux_part = matching_losses(
-        tape, tape.constant(h1), tape.constant(h2), truth,
+        tape, tape.constant(h1), tape.constant(h2),
         aux_targets=aux, aux_weight=aux_weight,
     )
     return (float(np.asarray(tape.value(total))),
@@ -67,8 +67,7 @@ class TestMatchingLosses:
         # -log(e^tau / (e^tau + 1)); their mean over log 2 (chance) is the loss
         h = np.eye(2) * 3.0
         tau = 2.0
-        _, match, _ = match_loss_values(h, h, np.array([0, 1]),
-                                        log_scale=np.log(tau))
+        _, match, _ = match_loss_values(h, h, log_scale=np.log(tau))
         expected = -np.log(np.exp(tau) / (np.exp(tau) + 1.0)) / np.log(2.0)
         assert match == pytest.approx(expected, abs=1e-12)
 
@@ -76,7 +75,7 @@ class TestMatchingLosses:
         # identical embeddings for every cell: uniform softmax in both
         # directions, cross entropy log n, divided by its chance value
         h = np.ones((5, 3))
-        _, match, _ = match_loss_values(h, h, np.arange(5), log_scale=1.0)
+        _, match, _ = match_loss_values(h, h, log_scale=1.0)
         assert match == pytest.approx(1.0, abs=1e-12)
 
     def test_aux_free_of_target_units(self):
@@ -88,15 +87,16 @@ class TestMatchingLosses:
         def aux_of(a, b):
             store = ParamStore()
             register_aux_params(store, 3, 2, 2, seed=0)
-            return match_loss_values(h, h, truth, store=store, aux=(a, b))[2]
+            return match_loss_values(h, h[truth], store=store,
+                                     aux=(a, b[truth]))[2]
 
         assert aux_of(5.0 * x1 - 3.0, 0.1 * x2 + 7.0) == pytest.approx(
             aux_of(x1, x2), abs=1e-12)
 
     def test_permuted_truth_scores_worse(self):
         h = np.eye(2) * 3.0
-        _, aligned, _ = match_loss_values(h, h, np.array([0, 1]))
-        _, permuted, _ = match_loss_values(h, h, np.array([1, 0]))
+        _, aligned, _ = match_loss_values(h, h)
+        _, permuted, _ = match_loss_values(h, h[[1, 0]])
         assert permuted > aligned
 
     def test_aux_zero_when_outputs_equal_targets(self):
@@ -108,7 +108,7 @@ class TestMatchingLosses:
             store.entries[name].value[:] = 0.0
         zeros = np.zeros((3, 2))
         total, match, aux = match_loss_values(
-            h, h, np.arange(3), store=store, aux=(zeros, zeros))
+            h, h, store=store, aux=(zeros, zeros))
         assert aux == pytest.approx(0.0, abs=1e-15)
         assert total == pytest.approx(match)
 
@@ -118,14 +118,9 @@ class TestMatchingLosses:
         h2 = rng.standard_normal((5, 4))
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         t = rng.permutation(5)
-        _, base, _ = match_loss_values(h1, h2, t)
-        _, rotated, _ = match_loss_values(h1 @ q, h2 @ q, t)
+        _, base, _ = match_loss_values(h1, h2[t])
+        _, rotated, _ = match_loss_values(h1 @ q, (h2 @ q)[t])
         assert rotated == pytest.approx(base, abs=1e-9)
-
-    def test_non_bijection_rejected(self):
-        h = np.eye(3)
-        with pytest.raises(ValueError, match="bijection"):
-            match_loss_values(h, h, np.array([0, 0, 1]))
 
 
 class TestMatchBlocks:
@@ -136,18 +131,17 @@ class TestMatchBlocks:
         monkeypatch.setattr(matching, "MATCH_BLOCK", 3)
 
     @staticmethod
-    def match_value(h1, h2, truth, log_scale=0.5, seed=5):
+    def match_value(h1, h2, log_scale=0.5, seed=5):
         store = ParamStore()
         register_logit_scale(store, log_scale=log_scale)
         tape = Tape(store, train=False, rng=np.random.default_rng(seed))
         _, match, _ = matching_losses(tape, tape.constant(h1),
-                                      tape.constant(h2), truth)
+                                      tape.constant(h2))
         return float(np.asarray(tape.value(match)))
 
     def test_chance_scores_one(self):
         h = np.ones((7, 3))
-        assert self.match_value(h, h, np.arange(7)) == pytest.approx(
-            1.0, abs=1e-12)
+        assert self.match_value(h, h) == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_hand_loop_over_blocks(self):
         rng = np.random.default_rng(6)
@@ -167,7 +161,7 @@ class TestMatchBlocks:
             ce_col = np.mean([np.log(np.exp(s[:, j]).sum()) - s[j, j]
                               for j in range(b)])
             expected += (b / 7) * 0.5 * (ce_row + ce_col) / np.log(b)
-        assert self.match_value(h1, h2, truth, log_scale) == pytest.approx(
+        assert self.match_value(h1, h2[truth], log_scale) == pytest.approx(
             expected, abs=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -177,12 +171,12 @@ class TestMatchBlocks:
         register_logit_scale(store, log_scale=0.3)
         register_aux_params(store, 4, 2, 3, seed=1)
         store.register("h1", rng.standard_normal((7, 4)))
-        store.register("h2", rng.standard_normal((7, 4)))
-        aux = (rng.standard_normal((7, 2)), rng.standard_normal((7, 3)))
+        store.register("h2", rng.standard_normal((7, 4))[truth])
+        aux = (rng.standard_normal((7, 2)), rng.standard_normal((7, 3))[truth])
 
         def build(tape):
             return matching_losses(tape, tape.param("h1"), tape.param("h2"),
-                                   truth, aux_targets=aux)[0]
+                                   aux_targets=aux)[0]
 
         assert finite_difference_check(build, store) < GRADCHECK_TOL
 
@@ -221,6 +215,19 @@ class TestMatchBlocks:
         model = train_matcher(ds.modality_1, ds.modality_2,
                               ds.correspondence, conv, protocol, cfg)
         assert "aux1.w1" in model.store
+
+
+class TestTrainMatcher:
+    def test_non_bijection_rejected(self):
+        ds = generate_synthetic(n_cells=6, seed=3)
+        conv = ConvConfig(n_layers=1, hidden_dim=4)
+        protocol = TrainProtocol(patience_epochs=1, max_epochs=1, seed=0)
+        for correspondence in ([0, 0, 1, 2, 3, 4],  # row 5 has no partner
+                               [1, 2, 3, 4, 5],  # one entry short
+                               [1, 2, 3, 4, 5, 6]):  # 6 is out of range
+            with pytest.raises(ValueError, match="bijection"):
+                train_matcher(ds.modality_1, ds.modality_2, correspondence,
+                              conv, protocol, MatcherConfig(reduce_rank=2))
 
 
 def full_table_softmax(score, scale=1.0):
