@@ -132,7 +132,9 @@ def _lexicographic_refine(cost, u, v, row_col, n_real_left):
     tight column.
     """
     s = cost.shape[0]
-    scale = max(1.0, float(np.abs(cost).max()))
+    # solve builds cost non-negative (max profit - profit, the forbidden
+    # cost `big`, zero padding), so its max is its largest magnitude
+    scale = max(1.0, float(cost.max()))
     reduced = cost - u[:, None]
     reduced -= v[None, :]
     tight = reduced <= 1e-9 * scale

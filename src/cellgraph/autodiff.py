@@ -582,7 +582,8 @@ _CKPT_VERSION = 1
 
 
 def save_checkpoint(store: ParamStore, path):
-    """Versioned binary dump: values plus Adam state and step counter."""
+    """Versioned binary record of values, Adam state and step counter.
+    Nothing in the package reads it back."""
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<IQ I", _CKPT_VERSION, store.step_count,
@@ -596,41 +597,3 @@ def save_checkpoint(store: ParamStore, path):
             for arr in (e.value, e.adam_m, e.adam_v):
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
-
-def _read_exact(fh, size: int, path) -> bytes:
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise ValueError(f"{path}: truncated checkpoint")
-    return buf
-
-
-def load_checkpoint(path) -> ParamStore:
-    """Inverse of save_checkpoint; a truncated file or trailing bytes raise
-    ValueError naming the path."""
-    store = ParamStore()
-    with open(path, "rb") as fh:
-        if fh.read(4) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a cellgraph checkpoint")
-        version, step, count = struct.unpack("<IQ I",
-                                             _read_exact(fh, 16, path))
-        if version != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        store.step_count = step
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", _read_exact(fh, 2, path))
-            name = _read_exact(fh, name_len, path).decode("utf-8")
-            rows, cols = struct.unpack("<II", _read_exact(fh, 8, path))
-            n = rows * cols
-            arrays = []
-            for _ in range(3):
-                buf = _read_exact(fh, 8 * n, path)
-                arrays.append(
-                    np.frombuffer(buf, dtype="<f8").reshape(rows, cols).copy()
-                )
-            store.register(name, arrays[0])
-            store.entries[name].adam_m[:] = arrays[1]
-            store.entries[name].adam_v[:] = arrays[2]
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the last "
-                             "parameter")
-    return store

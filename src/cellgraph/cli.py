@@ -232,14 +232,16 @@ def _metric_suite(embedding, cell_types, batch_labels, knn_k,
                   seed: int = 0) -> met.MetricReport:
     """The six metrics on one kNN graph; a missing input's metric is nan."""
     g = met.knn_graph(embedding, knn_k)
-    nmi_score = met.nmi_cluster_label(g, cell_types, seed)
     types = np.asarray(cell_types)
     if len(np.unique(types[types >= 0])) > 1:
+        nmi_score = met.nmi_cluster_label(g, cell_types, seed)
         asw = met.cell_type_asw(embedding, cell_types)
     else:
-        warnings.warn("fewer than 2 labeled cell types; cell-type ASW is "
-                      "left out (nan)")
-        asw = float("nan")
+        # nmi scores two one-cluster partitions as 1.0, so a single type
+        # would read as perfect whenever Louvain puts it in one cluster
+        warnings.warn("fewer than 2 labeled cell types; NMI is left out "
+                      "(nan), and cell-type ASW is left out (nan)")
+        nmi_score = asw = float("nan")
     try:
         basw = met.batch_asw(embedding, batch_labels, cell_types)
     except met.NoBatchMixing as exc:

@@ -7,7 +7,6 @@ gene sets, and flat key-value reports. Everything round-trips exactly.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import warnings
@@ -128,25 +127,8 @@ def load_sparse_matrix(path) -> SparseMatrix:
     decides what is accepted and formats every error, so both paths accept
     the same files with the same arrays.
     """
-    m = _load_sparse_chunks(path) if _loadtxt_ints_strict() else None
+    m = _load_sparse_chunks(path)
     return m if m is not None else _load_sparse_lines(path)
-
-
-@functools.cache
-def _loadtxt_ints_strict() -> bool:
-    """Whether np.loadtxt rejects `1.0`, `1e0` and `1.5` as integers with
-    DeprecationWarning ignored. From numpy 1.23 it parsed them via a float
-    with only that warning (chained into its ValueError when the warning is
-    an error); under such a numpy every file takes the line loop."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for token in ("1.0", "1e0", "1.5"):
-            try:
-                np.loadtxt([token], dtype=np.int64)
-            except ValueError:
-                continue
-            return False
-    return True
 
 
 def _load_sparse_chunks(path) -> SparseMatrix | None:
@@ -193,9 +175,14 @@ def _parse_entries(body: bytes, n_rows, n_cols, parts: list) -> bool:
     if not body.strip():
         return True
     try:
-        entries = np.loadtxt(body.decode("ascii").splitlines(),
-                             dtype=_ENTRY_DTYPE, comments=None, ndmin=1)
-    except (ValueError, OverflowError):
+        # numpy 1.23 parses `1.0`, `1e0` and `1.5` as integers via a float,
+        # with only a DeprecationWarning: raised, it sends the chunk to the
+        # line loop, which rejects such an index
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            entries = np.loadtxt(body.decode("ascii").splitlines(),
+                                 dtype=_ENTRY_DTYPE, comments=None, ndmin=1)
+    except (ValueError, OverflowError, DeprecationWarning):
         return False
     rows, cols = entries["row"], entries["col"]
     if not (np.isfinite(entries["value"]).all()

@@ -5,6 +5,7 @@ import importlib
 import os
 import pathlib
 import re
+import struct
 import tracemalloc
 import warnings
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from cellgraph import cli, data
-from cellgraph.autodiff import ParamStore, load_checkpoint
+from cellgraph.autodiff import ParamStore, save_checkpoint
 from cellgraph.cli import cli_dispatch
 from cellgraph.config import (ConfigError, RunConfig, apply_setting,
                               load_config_file)
@@ -151,44 +152,57 @@ class TestChunkedLoader:
         path = tmp_path / "m.mtx"
         path.write_bytes((MTX + body).encode())
         same_as_line_loop(path)
-        if data._loadtxt_ints_strict():
-            assert (_load_sparse_chunks(path) is not None) == chunks
+        assert (_load_sparse_chunks(path) is not None) == chunks
 
-    def test_probe_agrees_with_loadtxt(self):
-        # with the warning shown, not raised: where loadtxt still parses
-        # any of these as an integer, the probe must keep the chunks off
-        rejected = []
-        for tok in ("1.0", "1e0", "1.5"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("default")
-                try:
-                    np.loadtxt([tok], dtype=np.int64)
-                except ValueError:
-                    rejected.append(tok)
-        assert data._loadtxt_ints_strict() == (len(rejected) == 3)
+    @staticmethod
+    def numpy_1_23_loadtxt(chained: bool):
+        """np.loadtxt as numpy 1.23 parses integer fields: a non-integer
+        index token goes through a float with a DeprecationWarning, raised
+        as it is or (chained) turned into a ValueError when it is raised."""
+        real = np.loadtxt
+        calls = []
+
+        def loadtxt(lines, dtype, **kwargs):
+            calls.append(len(lines))
+            fixed = []
+            for line in lines:
+                tokens = line.split()
+                for k, tok in enumerate(tokens[:2]):
+                    if re.fullmatch(r"[+-]?[0-9]+", tok):
+                        continue
+                    try:
+                        warnings.warn("parsing an integer via a float",
+                                      DeprecationWarning)
+                    except DeprecationWarning as exc:
+                        if not chained:
+                            raise
+                        raise ValueError(f"could not convert {tok!r}") \
+                            from exc
+                    tokens[k] = str(int(float(tok)))
+                fixed.append(" ".join(tokens))
+            return real(fixed, dtype, **kwargs)
+
+        return loadtxt, calls
 
     def test_float_parsing_numpy_takes_line_loop(self, tmp_path,
                                                   monkeypatch):
-        def loadtxt(lines, dtype, **kwargs):
-            # numpy 1.23's integer fields: a float parse with a
-            # DeprecationWarning, chained into a ValueError if it is raised
-            try:
-                warnings.warn("parsing an integer via a float",
-                              DeprecationWarning)
-            except DeprecationWarning as exc:
-                raise ValueError(f"could not convert {lines[0]!r}") from exc
-            return np.array([int(float(lines[0]))], dtype)
-
         path = tmp_path / "m.mtx"
-        path.write_text(MTX + index_case("1.5"))
-        monkeypatch.setattr(data.np, "loadtxt", loadtxt)
-        data._loadtxt_ints_strict.cache_clear()
-        try:
-            assert not data._loadtxt_ints_strict()
-            with pytest.raises(ValueError, match=re.escape(f"{path}:3: ")):
-                load_sparse_matrix(path)
-        finally:
-            data._loadtxt_ints_strict.cache_clear()
+        for chained in (False, True):
+            loadtxt, calls = self.numpy_1_23_loadtxt(chained)
+            monkeypatch.setattr(data.np, "loadtxt", loadtxt)
+            path.write_text(MTX + "12 12 3\n7 1 1.0\n2 7 2.0\n12 3 -0.5\n")
+            assert _load_sparse_chunks(path) is not None and calls
+            same_as_line_loop(path)
+            for tok in ("1.0", "1e0", "1.5"):
+                path.write_text(MTX + index_case(tok))
+                assert _load_sparse_chunks(path) is None
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{path}:3: non-numeric or non-finite entry")):
+                    load_sparse_matrix(path)
+            # with the warning not raised, the fake parses it as an integer
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                assert loadtxt(["1.5 1 1.0"], data._ENTRY_DTYPE)["row"] == 1
 
     def test_unsorted_duplicates_bitwise(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -698,11 +712,18 @@ class TestCli:
         assert "val_rmse" in read_kv(out / "report.kv")
 
     def test_predict_checkpoint_holds_what_the_network_registers(
-            self, synth_dir, tmp_path):
+            self, synth_dir, tmp_path, monkeypatch):
         sets_path = tmp_path / "sets.tsv"
         sets_path.write_text("p1\tg1_0000,g1_0001,g1_0002\n"
                              "p2\tg1_0002,g1_0003\n")
         out = tmp_path / "pred_ckpt"
+        saved = []
+
+        def save(store, path):
+            saved.append(store)
+            save_checkpoint(store, path)
+
+        monkeypatch.setattr(cli, "save_checkpoint", save)
         assert run_cli("predict", "--data", str(synth_dir), "--seed", "1",
                        "--out", str(out),
                        "--set", f"predict.gene_sets={sets_path}",
@@ -715,8 +736,13 @@ class TestCli:
         store = ParamStore()
         init_params(g, ConvConfig(n_layers=3, hidden_dim=16,
                                   alpha="learnable"), store, seed=1)
-        names = sorted(load_checkpoint(out / "model.ckpt").names())
+        (trained,) = saved
+        names = sorted(trained.names())
         assert names == sorted(store.names() + ["head.w", "head.b"])
+        # header: magic, version, step count, parameter count
+        header = (out / "model.ckpt").read_bytes()[:20]
+        assert struct.unpack("<4sIQI", header) == (
+            b"CGCK", 1, trained.step_count, len(names))
         assert "alpha" in names and "l3.vu.w" in names
         assert not any(n.startswith(("in.cell", "l3.uv", "l3.vv"))
                        for n in names)
@@ -786,6 +812,53 @@ class TestCli:
                       if report[name] != "nan"]
             assert float(report["s_bio"]) == pytest.approx(np.mean(others),
                                                            abs=1e-6)
+
+    @staticmethod
+    def no_louvain_sweep(monkeypatch):
+        def sweep(*args):
+            raise AssertionError("the Louvain sweep ran on one cell type")
+        monkeypatch.setattr(cli.met, "nmi_cluster_label", sweep)
+
+    @staticmethod
+    def assert_nmi_left_out(report):
+        assert report["nmi"] == "nan" and report["cell_type_asw"] == "nan"
+        others = [float(report[name]) for name in
+                  ("cc_conservation", "trajectory_conservation")
+                  if report[name] != "nan"]
+        assert float(report["s_bio"]) == pytest.approx(np.mean(others),
+                                                       abs=1e-6)
+
+    def test_embed_single_cell_type_leaves_nmi_out(self, tmp_path,
+                                                   monkeypatch):
+        data_dir, out = tmp_path / "data", tmp_path / "embed"
+        assert run_cli("synth", "--cells", "120", "--seed", "2",
+                       "--out", str(data_dir)) == 0
+        types = data_dir / "types.txt"
+        types.write_text("T0\n" * len(types.read_text().splitlines()))
+        self.no_louvain_sweep(monkeypatch)
+        with pytest.warns(UserWarning, match="NMI is left out"):
+            code = run_cli("embed", "--data", str(data_dir), "--seed", "2",
+                           "--out", str(out), *fast_overrides())
+        assert code == 0
+        self.assert_nmi_left_out(read_kv(out / "metrics.kv"))
+
+    def test_eval_single_cell_type_leaves_nmi_out(self, synth_dir, tmp_path,
+                                                  monkeypatch):
+        emb = tmp_path / "embedding.mtx"
+        write_dense_matrix(np.random.default_rng(7).standard_normal((120, 5)),
+                           emb)
+        labels = tmp_path / "types.txt"
+        labels.write_text("T0\nNA\n" * 60)
+        self.no_louvain_sweep(monkeypatch)
+        with pytest.warns(UserWarning, match="left out") as caught:
+            code = run_cli("eval", "--embedding", str(emb),
+                           "--labels", str(labels),
+                           "--batches", str(synth_dir / "batches.txt"),
+                           "--pseudotime", str(synth_dir / "pseudotime.txt"),
+                           "--knn-k", "6", "--out", str(tmp_path / "eval"))
+        assert code == 0
+        assert any("NMI is left out" in str(w.message) for w in caught)
+        self.assert_nmi_left_out(read_kv(tmp_path / "eval" / "metrics.kv"))
 
     def test_eval_without_labeled_cells_exit_2(self, synth_dir, tmp_path,
                                                capsys):
